@@ -8,8 +8,8 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 2 = numerical failure, 3 = entanglement certified (analyze only).
 
 Reports contain no timestamps or file paths, only content, so identical
-inputs and flags produce byte-identical output regardless of scan
-parallelism.
+inputs and flags produce byte-identical output on the same build with the
+same BLAS thread count.
 """
 
 import argparse
@@ -26,9 +26,11 @@ from .criteria import (
     bipartite_cuts,
     evaluate_subset,
     gpt_scan,
-    ppt_criterion,
-    realignment_criterion,
 )
+
+# The report reads these criteria from the scan; kept in this namespace for
+# callers and tracing tools that look them up here.
+from .criteria import ppt_criterion, realignment_criterion  # noqa: F401
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     HERM_TOL_SCALE,
@@ -40,19 +42,18 @@ from .linalg import (
     DensityMatrix,
     density_matrix,
 )
-from .reshape import (
-    MAX_SCAN_SUBSYSTEMS,
-    format_label_set,
-    mask_of_labels,
-    parse_label_set,
-    subsystem_letter,
-)
+from .reshape import MAX_SCAN_SUBSYSTEMS, format_mask, parse_label_set, subsystem_letter
 from .states import family_help, generate, parse_state_spec, spec_text
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 
 
 # --- matrix files -----------------------------------------------------------
+
+def _is_number(value, types) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, types) and not isinstance(value, bool)
+
 
 def load_matrix_file(path: str):
     """Read a matrix file: dims, D x D entries as [re, im] pairs, metadata.
@@ -74,7 +75,7 @@ def load_matrix_file(path: str):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
     dims = data.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        _is_number(d, int) and d >= 1 for d in dims
     ):
         raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
     side = prod(dims)
@@ -89,7 +90,7 @@ def load_matrix_file(path: str):
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_number(v, (int, float)) for v in cell)
             ):
                 raise InvalidInputError(
                     f"{path}: matrix[{i}][{j}] must be a [re, im] pair of numbers"
@@ -153,9 +154,9 @@ def _tolerances(norm_tol: float) -> dict:
 
 def _subset_dict(res) -> dict:
     return {
-        "labels": format_label_set(res.labels),
-        "mask": mask_of_labels(res.labels),
-        "complement": format_label_set(res.complement),
+        "labels": res.label_text(),
+        "mask": res.mask,
+        "complement": format_mask(res.complement_mask, res.n),
         "shape": list(res.shape),
         "trace_norm": res.trace_norm,
         "hermitian_case": res.is_hermitian_case,
@@ -164,32 +165,29 @@ def _subset_dict(res) -> dict:
     }
 
 
-def _subsystem_letters(labels) -> str:
-    return "".join(
-        subsystem_letter(k) for k in sorted({lab.subsystem for lab in labels})
-    )
+def _subsystem_letters(res) -> str:
+    return "".join(subsystem_letter(k) for k in range(res.n) if res.mask >> (2 * k) & 3)
 
 
 def build_analyze_report(
     rho: DensityMatrix, name: str, normalized: bool, *,
-    dedupe: bool, workers, norm_tol: float, max_subsystems: int,
+    dedupe: bool, norm_tol: float, max_subsystems: int,
     min_eigenvalue=None,
 ) -> dict:
+    """The analyze report; PPT, realignment and negativities are read from
+    the one scan, which evaluates each distinct subset once."""
     n = len(rho.dims)
     scan = gpt_scan(
-        rho, dedupe=dedupe, workers=workers,
-        norm_tol=norm_tol, max_subsystems=max_subsystems,
+        rho, dedupe=dedupe, norm_tol=norm_tol, max_subsystems=max_subsystems,
     )
-    ppt = ppt_criterion(rho)
     ppt_rows = []
-    for res in ppt:
+    for res in scan.ppt_results():
         row = _subset_dict(res)
-        row["subsystems"] = _subsystem_letters(res.labels)
+        row["subsystems"] = _subsystem_letters(res)
         ppt_rows.append(row)
     realignment_rows = []
     if n >= 2:
-        cuts = bipartite_cuts(n)
-        for cut, res in zip(cuts, realignment_criterion(rho, cuts, norm_tol=norm_tol)):
+        for cut, res in zip(bipartite_cuts(n), scan.realignment_results()):
             row = _subset_dict(res)
             row["cut"] = "{}|{}".format(
                 "".join(subsystem_letter(k) for k in cut[0]),
@@ -217,8 +215,8 @@ def build_analyze_report(
             "subsets_evaluated": len(scan.results),
             "results": [_subset_dict(res) for res in scan.results],
             "max_norm": scan.max_norm,
-            "argmax_labels": format_label_set(scan.argmax_labels),
-            "violations": [format_label_set(v) for v in scan.violations],
+            "argmax_labels": scan.argmax.label_text(),
+            "violations": [res.label_text() for res in scan.results if res.violating],
         },
         "verdict": scan.verdict.value,
         "measure_e": scan.measure_e,
@@ -332,8 +330,7 @@ def cmd_analyze(args) -> int:
         rho.validate_psd()
     report = build_analyze_report(
         rho, name, normalized,
-        dedupe=not args.no_dedupe, workers=args.workers,
-        norm_tol=args.tol_norm, max_subsystems=args.max_n,
+        dedupe=not args.no_dedupe, norm_tol=args.tol_norm, max_subsystems=args.max_n,
         min_eigenvalue=min_eig,
     )
     _emit(report, args.format, render_human_analyze)
@@ -421,8 +418,7 @@ def cmd_scan_family(args) -> int:
 
     def max_norm(value: float) -> float:
         return gpt_scan(
-            build(value), dedupe=True, workers=args.workers,
-            norm_tol=args.tol_norm, max_subsystems=args.max_n,
+            build(value), norm_tol=args.tol_norm, max_subsystems=args.max_n,
         ).max_norm
 
     def violates(norm: float) -> bool:
@@ -464,12 +460,10 @@ def cmd_scan_family(args) -> int:
                 ok_end = mid
         threshold = 0.5 * (ok_end + bad_end)
         at_bad = gpt_scan(
-            build(bad_end), dedupe=True, workers=args.workers,
-            norm_tol=args.tol_norm, max_subsystems=args.max_n,
+            build(bad_end), norm_tol=args.tol_norm, max_subsystems=args.max_n,
         )
-        first_labels = (
-            format_label_set(at_bad.violations[0]) if at_bad.violations else ""
-        )
+        first = next((res for res in at_bad.results if res.violating), None)
+        first_labels = first.label_text() if first else ""
         message = "violation threshold located"
 
     report = {
@@ -521,8 +515,6 @@ def _add_common(sub) -> None:
                      help="report format, default %(default)s")
     sub.add_argument("--seed", type=int, default=0, metavar="S",
                      help="seed for seeded state specs that omit one, default %(default)s")
-    sub.add_argument("--workers", type=int, default=1, metavar="W",
-                     help="scan threads; the report does not depend on this")
 
 
 def build_parser() -> argparse.ArgumentParser:

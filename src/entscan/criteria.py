@@ -5,9 +5,9 @@ certifies entanglement, while passing proves nothing, so the only negative
 verdict is UNDETECTED.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from math import prod
 
 import numpy as np
 
@@ -16,14 +16,18 @@ from .linalg import PSD_TOL, DensityMatrix, matrix_fingerprint, trace_norm
 from .reshape import (
     MAX_SCAN_SUBSYSTEMS,
     Label,
-    complement_labels,
-    cut_and_realign,
-    enumerate_label_subsets,
-    format_label_set,
-    generalized_transpose,
-    is_hermitian_label_set,
+    cut_blocks,
+    format_mask,
+    labels_of_mask,
+    mask_of_labels,
+    mask_transpose,
     partial_transpose,
+    subset_masks,
 )
+
+# Not used by the scan; kept in this namespace for callers and tracing tools
+# that look them up here.
+from .reshape import enumerate_label_subsets, generalized_transpose  # noqa: F401
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -37,33 +41,77 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class SubsetResult:
-    """Outcome of one reshaped-matrix evaluation."""
+    """Outcome of one reshaped-matrix evaluation: the transpose of the labels
+    in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of an ``n``-subsystem state."""
 
-    labels: frozenset[Label]
-    complement: frozenset[Label]
+    mask: int
+    n: int
     trace_norm: float
     shape: tuple[int, int]
     is_hermitian_case: bool
     min_eigenvalue: float | None
     violating: bool
 
+    @property
+    def complement_mask(self) -> int:
+        return ((1 << (2 * self.n)) - 1) ^ self.mask
+
+    @property
+    def labels(self) -> frozenset[Label]:
+        return labels_of_mask(self.mask, self.n)
+
+    @property
+    def complement(self) -> frozenset[Label]:
+        return labels_of_mask(self.complement_mask, self.n)
+
     def label_text(self) -> str:
-        return format_label_set(self.labels)
+        return format_mask(self.mask, self.n)
 
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Full scan outcome over the enumerated label subsets."""
+    """Full scan outcome over the enumerated label subsets, in mask order."""
 
+    dims: tuple[int, ...]
     results: tuple[SubsetResult, ...]
-    max_norm: float
-    argmax_labels: frozenset[Label]
-    violations: tuple[frozenset[Label], ...]
+    argmax: SubsetResult
     verdict: Verdict
     measure_e: float
-    negativity_per_subsystem: tuple[float, ...]
     dedupe: bool
     norm_tol: float
+
+    @property
+    def max_norm(self) -> float:
+        return self.argmax.trace_norm
+
+    @property
+    def argmax_labels(self) -> frozenset[Label]:
+        return self.argmax.labels
+
+    @property
+    def violations(self) -> tuple[frozenset[Label], ...]:
+        return tuple(res.labels for res in self.results if res.violating)
+
+    @property
+    def negativity_per_subsystem(self) -> tuple[float, ...]:
+        return tuple(
+            _negativity(self.lookup(_pt_mask(1 << k)).trace_norm) for k in range(len(self.dims))
+        )
+
+    def lookup(self, mask: int) -> SubsetResult:
+        """The scanned result for ``mask``, or for its complement (same
+        singular values) when dedupe dropped ``mask``."""
+        # results index by mask: dedupe keeps exactly the masks below 2^(2n-1)
+        full = (1 << (2 * len(self.dims))) - 1
+        return self.results[min(mask, full ^ mask)]
+
+    def ppt_results(self) -> list[SubsetResult]:
+        """:func:`ppt_criterion`, read from the scan."""
+        return _ppt_rows(self.lookup, len(self.dims), PSD_TOL)
+
+    def realignment_results(self) -> list[SubsetResult]:
+        """:func:`realignment_criterion` over all cuts, read from the scan."""
+        return _realignment_rows(self.lookup, self.dims, None, self.norm_tol)
 
 
 def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
@@ -75,31 +123,50 @@ def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _evaluate(rho: DensityMatrix, mask: int, norm_tol: float) -> SubsetResult:
+    """Trace norm (and, for Hermitian cases, minimum eigenvalue) of the
+    ``mask`` transpose, with one solver call."""
+    n = len(rho.dims)
+    mat = mask_transpose(rho, mask)
+    # each subsystem flips both or neither of its labels: a partial
+    # transposition, square and Hermitian on Hermitian input
+    hermitian_case = not (mask ^ (mask >> 1)) & (((1 << (2 * n)) - 1) // 3)
+    if hermitian_case:
+        eigs = _hermitian_eigs(mat)
+        norm = float(np.abs(eigs).sum())
+        min_eig = float(eigs.min())
+    else:
+        norm = trace_norm(mat)
+        min_eig = None
+    return SubsetResult(
+        mask, n, norm, mat.shape, hermitian_case, min_eig, norm > 1.0 + norm_tol
+    )
+
+
+def _pt_mask(subsystems: int) -> int:
+    """Label mask transposing both labels of each subsystem bit set in ``subsystems``."""
+    return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
+
+
+def _negativity(pt_norm: float) -> float:
+    return max(0.0, (pt_norm - 1.0) / 2.0)
+
+
 def evaluate_subset(
     rho: DensityMatrix, labels, norm_tol: float = NORM_TOL
 ) -> SubsetResult:
     """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
     one generalized transpose."""
-    n = len(rho.dims)
-    labels = frozenset(labels)
-    reshaped = generalized_transpose(rho, labels)
-    hermitian_case = is_hermitian_label_set(labels, n)
-    if hermitian_case:
-        eigs = _hermitian_eigs(reshaped.mat)
-        norm = float(np.abs(eigs).sum())
-        min_eig = float(eigs.min())
-    else:
-        norm = trace_norm(reshaped.mat)
-        min_eig = None
-    return SubsetResult(
-        labels=labels,
-        complement=complement_labels(labels, n),
-        trace_norm=norm,
-        shape=reshaped.shape,
-        is_hermitian_case=hermitian_case,
-        min_eigenvalue=min_eig,
-        violating=norm > 1.0 + norm_tol,
-    )
+    return _evaluate(rho, mask_of_labels(labels, len(rho.dims)), norm_tol)
+
+
+def _ppt_rows(result_for, n: int, psd_tol: float) -> list[SubsetResult]:
+    # subsystem subsets without subsystem n-1: one of each complement pair
+    out = []
+    for subsystems in range(1, 1 << (n - 1)):
+        res = result_for(_pt_mask(subsystems))
+        out.append(replace(res, violating=res.min_eigenvalue < -psd_tol))
+    return out
 
 
 def ppt_criterion(
@@ -110,28 +177,7 @@ def ppt_criterion(
     One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
     results); violating iff the minimum eigenvalue drops below ``-psd_tol``.
     """
-    n = len(rho.dims)
-    out = []
-    full = (1 << n) - 1
-    for mask in range(1, full):
-        if mask > (full ^ mask):
-            continue
-        subs = [k for k in range(n) if mask & (1 << k)]
-        eigs = _hermitian_eigs(partial_transpose(rho, subs))
-        labels = frozenset(Label(k, kind) for k in subs for kind in ("r", "c"))
-        min_eig = float(eigs.min())
-        out.append(
-            SubsetResult(
-                labels=labels,
-                complement=complement_labels(labels, n),
-                trace_norm=float(np.abs(eigs).sum()),
-                shape=(rho.dim, rho.dim),
-                is_hermitian_case=True,
-                min_eigenvalue=min_eig,
-                violating=min_eig < -psd_tol,
-            )
-        )
-    return out
+    return _ppt_rows(lambda mask: _evaluate(rho, mask, NORM_TOL), len(rho.dims), psd_tol)
 
 
 def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -147,13 +193,27 @@ def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return cuts
 
 
-def cut_label_set(cut, n: int) -> frozenset[Label]:
-    """The label subset whose transpose matches the cut's realignment up to
-    row/column permutations (hence with equal trace norm)."""
-    block1, block2 = cut
-    return frozenset(
-        {Label(k, "c") for k in block1} | {Label(k, "r") for k in block2}
-    )
+def _cut_mask(block1, block2) -> int:
+    """The label subset {c_k: k in block1} | {r_k: k in block2}, whose transpose
+    matches the cut's realignment up to row/column permutations (hence with
+    equal trace norm)."""
+    return sum(2 << (2 * k) for k in block1) | sum(1 << (2 * k) for k in block2)
+
+
+def _realignment_rows(result_for, dims, cuts, norm_tol: float) -> list[SubsetResult]:
+    n = len(dims)
+    out = []
+    for cut in bipartite_cuts(n) if cuts is None else cuts:
+        block1, block2 = cut_blocks(n, *cut)
+        mask = _cut_mask(block1, block2)
+        norm = result_for(mask).trace_norm
+        side1 = prod(dims[k] for k in block1)
+        side2 = prod(dims[k] for k in block2)
+        out.append(SubsetResult(
+            mask, n, norm, (side1 * side1, side2 * side2), False, None,
+            norm > 1.0 + norm_tol,
+        ))
+    return out
 
 
 def realignment_criterion(
@@ -163,81 +223,49 @@ def realignment_criterion(
 
     Any norm above 1 + ``norm_tol`` certifies entanglement.
     """
-    n = len(rho.dims)
-    if n < 2:
+    if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    if cuts is None:
-        cuts = bipartite_cuts(n)
-    out = []
-    for cut in cuts:
-        block1, block2 = cut
-        reshaped = cut_and_realign(rho, block1, block2)
-        norm = trace_norm(reshaped.mat)
-        labels = cut_label_set(cut, n)
-        out.append(
-            SubsetResult(
-                labels=labels,
-                complement=complement_labels(labels, n),
-                trace_norm=norm,
-                shape=reshaped.shape,
-                is_hermitian_case=False,
-                min_eigenvalue=None,
-                violating=norm > 1.0 + norm_tol,
-            )
-        )
-    return out
+    return _realignment_rows(
+        lambda mask: _evaluate(rho, mask, norm_tol), rho.dims, cuts, norm_tol
+    )
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
-    """(trace norm of the subsystem's partial transpose - 1) / 2, floored at 0."""
-    value = (trace_norm(partial_transpose(rho, [subsystem])) - 1.0) / 2.0
-    return max(0.0, value)
+    """(trace norm of the subsystem's partial transpose - 1) / 2, floored at 0.
+
+    The trace norm comes from an SVD; ``gpt_scan`` reads the same quantity
+    from the eigenvalues it scanned, which agree to within rounding.
+    """
+    return _negativity(trace_norm(partial_transpose(rho, [subsystem])))
 
 
 def gpt_scan(
     rho: DensityMatrix,
     dedupe: bool = True,
-    workers: int | None = None,
     norm_tol: float = NORM_TOL,
     max_subsystems: int = MAX_SCAN_SUBSYSTEMS,
 ) -> CriterionReport:
-    """Evaluate every enumerated label subset and assemble the verdict.
+    """Evaluate every enumerated label subset once and assemble the verdict.
 
-    Results are produced in canonical (bitmask-ascending) subset order
-    regardless of ``workers``, so reports are deterministic across runs and
-    parallelism degrees. Ties for the largest norm resolve to the earliest
-    subset in canonical order.
+    Results come in canonical (mask-ascending) subset order. Ties for the
+    largest norm resolve to the earliest subset in that order.
     """
     n = len(rho.dims)
-    subsets = enumerate_label_subsets(n, dedupe=dedupe, max_n=max_subsystems)
-
-    def one(labels):
-        return evaluate_subset(rho, labels, norm_tol=norm_tol)
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(one, subsets))
-    else:
-        results = tuple(one(labels) for labels in subsets)
-
-    best = results[0]
-    for res in results[1:]:
-        if res.trace_norm > best.trace_norm:
-            best = res
-    violations = tuple(res.labels for res in results if res.violating)
-    verdict = Verdict.ENTANGLED_CERTIFIED if violations else Verdict.UNDETECTED
+    results = tuple(
+        _evaluate(rho, mask, norm_tol)
+        for mask in subset_masks(n, dedupe=dedupe, max_n=max_subsystems)
+    )
+    best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
+    violating = any(res.violating for res in results)
     # Below the violation threshold the measure is exactly zero: rounding can
     # push the largest norm a few ulp past 1 on separable states, and those
     # must report E = 0, not 1e-16.
-    measure = (best.trace_norm - 1.0) / 2.0 if violations else 0.0
     return CriterionReport(
+        dims=rho.dims,
         results=results,
-        max_norm=best.trace_norm,
-        argmax_labels=best.labels,
-        violations=violations,
-        verdict=verdict,
-        measure_e=measure,
-        negativity_per_subsystem=tuple(negativity(rho, k) for k in range(n)),
+        argmax=best,
+        verdict=Verdict.ENTANGLED_CERTIFIED if violating else Verdict.UNDETECTED,
+        measure_e=(best.trace_norm - 1.0) / 2.0 if violating else 0.0,
         dedupe=dedupe,
         norm_tol=norm_tol,
     )
@@ -246,7 +274,6 @@ def gpt_scan(
 def measure_e(
     rho: DensityMatrix,
     dedupe: bool = True,
-    workers: int | None = None,
     max_subsystems: int = MAX_SCAN_SUBSYSTEMS,
 ) -> float:
     """Largest (trace norm - 1) / 2 over all label subsets, zero when no
@@ -256,6 +283,4 @@ def measure_e(
     subsystem's negativity since the scan includes all partial
     transpositions.
     """
-    return gpt_scan(
-        rho, dedupe=dedupe, workers=workers, max_subsystems=max_subsystems
-    ).measure_e
+    return gpt_scan(rho, dedupe=dedupe, max_subsystems=max_subsystems).measure_e

@@ -57,9 +57,13 @@ def label_bit(label: Label) -> int:
     return 2 * label.subsystem + (0 if label.kind == "r" else 1)
 
 
-def mask_of_labels(labels) -> int:
+def mask_of_labels(labels, n: int | None = None) -> int:
+    """Canonical subset mask of ``labels``; with ``n`` given, reject labels of
+    subsystems the state does not have."""
     mask = 0
     for lab in labels:
+        if n is not None and lab.subsystem >= n:
+            raise InvalidInputError(f"label {lab} does not exist for {n} subsystem(s)")
         mask |= 1 << label_bit(lab)
     return mask
 
@@ -92,6 +96,14 @@ def format_label_set(labels) -> str:
     """Render a label set like ``"rA,cA"`` (subsystem order, r before c)."""
     ordered = sorted(labels, key=lambda lab: (lab.subsystem, 0 if lab.kind == "r" else 1))
     return ",".join(str(lab) for lab in ordered)
+
+
+def format_mask(mask: int, n: int) -> str:
+    """``format_label_set`` of the labels in ``mask``, without building them."""
+    return ",".join(
+        f"{kind}{subsystem_letter(k)}"
+        for k in range(n) for bit, kind in enumerate(_KINDS) if mask >> (2 * k + bit) & 1
+    )
 
 
 def parse_label_set(text: str, n: int) -> frozenset[Label]:
@@ -198,6 +210,32 @@ def apply_flips(reshaped: ReshapedMatrix, labels) -> ReshapedMatrix:
     return ReshapedMatrix(_freeze(out), tuple(new_rows), tuple(new_cols), dims)
 
 
+def mask_plan(dims, mask: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, int]]:
+    """Row axes, column axes and output shape of the ``mask`` transpose.
+
+    Axes number the tensor ``mat.reshape(dims + dims)``: axis k carries r_k
+    and axis n + k carries c_k. Bit 2k of ``mask`` flips r_k and bit 2k + 1
+    flips c_k; each side lists its axes in the canonical order.
+    """
+    n = len(dims)
+    rows, cols = [], []
+    for k in range(n):
+        # c varies slower than r when both labels of a subsystem share a side
+        (rows if mask >> (2 * k + 1) & 1 else cols).append(n + k)
+        (cols if mask >> (2 * k) & 1 else rows).append(k)
+    return (
+        tuple(rows), tuple(cols),
+        (prod(dims[a % n] for a in rows), prod(dims[a % n] for a in cols)),
+    )
+
+
+def mask_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
+    """The ``mask`` transpose of ``rho`` as a 2-D array (a view when no data
+    moves, else a fresh copy)."""
+    rows, cols, shape = mask_plan(rho.dims, mask)
+    return rho.mat.reshape(rho.dims * 2).transpose(rows + cols).reshape(shape)
+
+
 def generalized_transpose(rho: DensityMatrix, labels) -> ReshapedMatrix:
     """Transpose an arbitrary subset of the 2n row/column labels of ``rho``.
 
@@ -205,38 +243,35 @@ def generalized_transpose(rho: DensityMatrix, labels) -> ReshapedMatrix:
     transpose; ``{r_k, c_k}`` is the partial transposition of subsystem k;
     ``{c_A, r_B}`` on a bipartite state is the realignment.
     """
-    return apply_flips(identity_reshape(rho), labels)
+    n = len(rho.dims)
+    mask = mask_of_labels(labels, n)
+    rows, cols, _ = mask_plan(rho.dims, mask)
+
+    def side(axes):
+        return tuple(Label(a % n, "c" if a >= n else "r") for a in axes)
+
+    return ReshapedMatrix(_freeze(mask_transpose(rho, mask)), side(rows), side(cols), rho.dims)
 
 
 def realign(rho: DensityMatrix) -> ReshapedMatrix:
     """Realign a bipartite state: rows are the column-stacked m x m blocks.
 
     For dims (m, n) the result is m^2 x n^2 with row (J*m + I) holding
-    vec(block_{I,J})^T. Implemented directly from that block rule; it must
-    agree entrywise with ``generalized_transpose(rho, {c_A, r_B})``.
+    vec(block_{I,J})^T: the transpose of the label subset ``{c_A, r_B}``.
     """
     if len(rho.dims) != 2:
         raise InvalidInputError(
             f"realign requires exactly 2 subsystems, got {len(rho.dims)}; "
             "use cut_and_realign for multipartite states"
         )
-    m, n = rho.dims
-    tensor = rho.mat.reshape(m, n, m, n)  # axes (i_A, i_B, j_A, j_B)
-    out = tensor.transpose(2, 0, 3, 1).reshape(m * m, n * n)
-    return ReshapedMatrix(
-        _freeze(out),
-        row_labels=(Label(0, "c"), Label(0, "r")),
-        col_labels=(Label(1, "c"), Label(1, "r")),
-        source_dims=rho.dims,
-    )
+    return generalized_transpose(rho, {Label(0, "c"), Label(1, "r")})
 
 
 def partial_transpose(rho: DensityMatrix, subsystems) -> np.ndarray:
     """Transpose the indices of the given subsystems only; output is square.
 
     Equals ``generalized_transpose`` with both labels of each chosen
-    subsystem, read back as a D x D matrix. Implemented independently by an
-    axis swap. Hermiticity is preserved.
+    subsystem, read back as a D x D matrix. Hermiticity is preserved.
     """
     subs = sorted({int(k) for k in subsystems})
     n = len(rho.dims)
@@ -244,22 +279,14 @@ def partial_transpose(rho: DensityMatrix, subsystems) -> np.ndarray:
         raise InvalidInputError("partial_transpose requires a non-empty subsystem set")
     if subs[0] < 0 or subs[-1] >= n:
         raise InvalidInputError(f"subsystem indices {subs} out of range for {n} subsystems")
-    axes = list(range(2 * n))
-    for k in subs:
-        axes[k], axes[n + k] = axes[n + k], axes[k]
-    tensor = rho.mat.reshape(rho.dims + rho.dims)
-    return _freeze(tensor.transpose(axes).reshape(rho.dim, rho.dim))
+    return _freeze(mask_transpose(rho, sum(3 << (2 * k) for k in subs)))
 
 
-def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> ReshapedMatrix:
-    """Fuse the subsystems of a bipartite cut and realign across it.
+def cut_blocks(n: int, first_block, second_block=None) -> tuple[list[int], list[int]]:
+    """Validate a bipartite cut of ``range(n)`` and return both blocks sorted.
 
-    ``first_block`` (and optionally ``second_block``) partition the
-    subsystems into two non-empty groups; indices inside each block are
-    fused in ascending order. With ``second_block`` omitted it defaults to
-    the complement.
+    With ``second_block`` omitted it defaults to the complement of the first.
     """
-    n = len(rho.dims)
     block1 = sorted({int(k) for k in first_block})
     if block1 and (block1[0] < 0 or block1[-1] >= n):
         raise InvalidInputError(f"cut indices {block1} out of range for {n} subsystems")
@@ -273,6 +300,19 @@ def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> Resha
         raise InvalidInputError(
             f"blocks {block1} | {block2} do not partition the {n} subsystems"
         )
+    return block1, block2
+
+
+def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> ReshapedMatrix:
+    """Fuse the subsystems of a bipartite cut and realign across it.
+
+    ``first_block`` (and optionally ``second_block``) partition the
+    subsystems into two non-empty groups; indices inside each block are
+    fused in ascending order. With ``second_block`` omitted it defaults to
+    the complement.
+    """
+    n = len(rho.dims)
+    block1, block2 = cut_blocks(n, first_block, second_block)
     order = block1 + block2
     tensor = rho.mat.reshape(rho.dims + rho.dims)
     axes = [*order, *(n + k for k in order)]
@@ -284,14 +324,13 @@ def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> Resha
     return realign(DensityMatrix(regrouped, eff_dims))
 
 
-def enumerate_label_subsets(
-    n: int, dedupe: bool = True, max_n: int = MAX_SCAN_SUBSYSTEMS
-) -> list[frozenset[Label]]:
-    """All 2^(2n) label subsets in canonical (ascending bitmask) order.
+def subset_masks(n: int, dedupe: bool = True, max_n: int = MAX_SCAN_SUBSYSTEMS) -> range:
+    """All 2^(2n) subset masks in ascending order.
 
     With ``dedupe`` (the default) only one representative of each
     {Y, complement(Y)} pair is kept - the two always share their singular
-    spectrum - namely the one with the smaller mask.
+    spectrum - namely the one with the smaller mask. Those are exactly the
+    masks without the top bit c_(n-1), so the result indexes by mask either way.
     """
     if n < 1:
         raise InvalidInputError(f"need at least one subsystem, got n={n}")
@@ -300,10 +339,11 @@ def enumerate_label_subsets(
             f"{n} subsystems means 2^{2 * n} subsets, beyond the scan limit of {max_n}; "
             "evaluate chosen subsets directly via generalized_transpose"
         )
-    full = (1 << (2 * n)) - 1
-    out = []
-    for mask in range(full + 1):
-        if dedupe and mask > (full ^ mask):
-            continue
-        out.append(labels_of_mask(mask, n))
-    return out
+    return range(1 << (2 * n - 1 if dedupe else 2 * n))
+
+
+def enumerate_label_subsets(
+    n: int, dedupe: bool = True, max_n: int = MAX_SCAN_SUBSYSTEMS
+) -> list[frozenset[Label]]:
+    """The label sets of :func:`subset_masks`, in the same order."""
+    return [labels_of_mask(mask, n) for mask in subset_masks(n, dedupe, max_n)]

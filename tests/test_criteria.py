@@ -24,9 +24,16 @@ from entscan import (
     separable_mixture,
     werner_state,
 )
-from entscan.reshape import mask_of_labels
+from entscan.cli import build_analyze_report
+from entscan.reshape import mask_of_labels, mask_transpose
 
-from reference import naive_realign, naive_trace_norm
+from reference import (
+    all_flip_sets,
+    naive_generalized_transpose,
+    naive_realign,
+    naive_trace_norm,
+    random_state,
+)
 
 
 def werner_pt_norm(p):
@@ -149,13 +156,13 @@ class TestGptScan:
         masks = [mask_of_labels(res.labels) for res in report.results]
         assert masks == sorted(masks)
 
-    def test_parallel_scan_is_deterministic(self):
+    def test_repeated_scans_are_bitwise_identical(self):
         rho = random_density((2, 3), seed=21)
-        serial = gpt_scan(rho)
-        threaded = gpt_scan(rho, workers=4)
-        assert serial.max_norm == threaded.max_norm
-        assert serial.argmax_labels == threaded.argmax_labels
-        for a, b in zip(serial.results, threaded.results):
+        first = gpt_scan(rho)
+        second = gpt_scan(rho)
+        assert first.max_norm == second.max_norm
+        assert first.argmax_labels == second.argmax_labels
+        for a, b in zip(first.results, second.results):
             assert a.labels == b.labels
             assert a.trace_norm == b.trace_norm  # bitwise identical
 
@@ -261,3 +268,71 @@ def test_bipartite_cuts_enumeration():
         ((0, 1), (2,)),
         ((0, 2), (1,)),
     ]
+
+
+class TestMaskEngine:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 2)])
+    def test_every_mask_matches_naive_transpose(self, dims):
+        mat = random_state(int(np.prod(dims)), np.random.default_rng(sum(dims)))
+        rho = DensityMatrix(mat, dims)
+        for mask, flips in all_flip_sets(len(dims)):
+            expected = naive_generalized_transpose(mat, dims, flips)
+            got = mask_transpose(rho, mask)
+            assert got.shape == expected.shape, (dims, mask)
+            assert np.array_equal(got, expected), (dims, mask)
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            bell_state("psi-"),
+            werner_state(0.6),
+            random_density((2, 3), seed=3),
+            random_density((3, 2, 2), seed=4),
+            random_density((2, 2, 2, 2), seed=5),
+        ],
+        ids=["bell", "werner", "2x3", "3x2x2", "2x2x2x2"],
+    )
+    def test_analyze_matches_standalone_criteria(self, rho, dedupe):
+        report = build_analyze_report(
+            rho, "", False, dedupe=dedupe, norm_tol=1e-9, max_subsystems=6
+        )
+        ppt = ppt_criterion(rho)
+        assert len(report["ppt"]["results"]) == len(ppt)
+        for row, res in zip(report["ppt"]["results"], ppt):
+            assert row["mask"] == res.mask
+            assert row["shape"] == list(res.shape)
+            assert row["violating"] == res.violating
+            assert abs(row["trace_norm"] - res.trace_norm) < 1e-12
+            assert abs(row["min_eigenvalue"] - res.min_eigenvalue) < 1e-12
+        realign = realignment_criterion(rho)
+        assert len(report["realignment"]["results"]) == len(realign)
+        for row, res in zip(report["realignment"]["results"], realign):
+            assert row["mask"] == res.mask
+            assert row["shape"] == list(res.shape)
+            assert row["violating"] == res.violating
+            assert abs(row["trace_norm"] - res.trace_norm) < 1e-12
+        for k, value in enumerate(report["negativity_per_subsystem"]):
+            assert abs(value - negativity(rho, k)) < 1e-12
+
+    @pytest.mark.parametrize("dedupe", [True, False])
+    def test_analyze_solves_each_subset_once(self, monkeypatch, dedupe):
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        rho = random_density((2, 3, 2), seed=8)
+        report = build_analyze_report(
+            rho, "", False, dedupe=dedupe, norm_tol=1e-9, max_subsystems=6
+        )
+        assert report["scan"]["subsets_evaluated"] == (32 if dedupe else 64)
+        assert len(calls) == report["scan"]["subsets_evaluated"]
+        assert calls.count("eigvalsh") == sum(
+            row["hermitian_case"] for row in report["scan"]["results"]
+        )
