@@ -42,8 +42,8 @@ from .linalg import (
     DensityMatrix,
     density_matrix,
 )
-from .reshape import MAX_SCAN_SUBSYSTEMS, format_mask, parse_label_set, subsystem_letter
-from .states import family_help, generate, parse_state_spec, spec_text
+from .reshape import MAX_SCAN_SUBSYSTEMS, format_label_set, parse_label_set, subsystem_letter
+from .states import SWEEPABLE, family_help, generate, parse_state_spec, spec_text
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 
@@ -156,7 +156,7 @@ def _subset_dict(res) -> dict:
     return {
         "labels": res.label_text(),
         "mask": res.mask,
-        "complement": format_mask(res.complement_mask, res.n),
+        "complement": format_label_set(res.complement_mask, res.n),
         "shape": list(res.shape),
         "trace_norm": res.trace_norm,
         "hermitian_case": res.is_hermitian_case,
@@ -349,8 +349,8 @@ def render_human_norms(report: dict) -> str:
 
 def cmd_norms(args) -> int:
     rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
-    labels = parse_label_set(args.labels, len(rho.dims))
-    res = evaluate_subset(rho, labels, norm_tol=args.tol_norm)
+    mask = parse_label_set(args.labels, len(rho.dims))
+    res = evaluate_subset(rho, mask, norm_tol=args.tol_norm)
     report = _subset_dict(res)
     _emit(report, args.format, render_human_norms)
     return 0
@@ -362,15 +362,14 @@ def _resolve_sweep(text: str):
     family, _, rest = text.strip().partition(":")
     family = family.strip().lower()
     fixed = [t.strip() for t in rest.split(",") if t.strip()] if rest.strip() else []
-    sweepable = {"werner": 0, "isotropic": 1, "horodecki3x3": 0, "horodecki2x4": 0}
-    if family not in sweepable:
+    if family not in SWEEPABLE:
         raise InvalidInputError(
             f"family {family!r} cannot be swept; families with one free real "
-            f"parameter: {', '.join(sorted(sweepable))}"
+            f"parameter: {', '.join(sorted(SWEEPABLE))}"
         )
-    if len(fixed) != sweepable[family]:
+    if len(fixed) != SWEEPABLE[family]:
         raise InvalidInputError(
-            f"{family} needs {sweepable[family]} fixed parameter(s) before the "
+            f"{family} needs {SWEEPABLE[family]} fixed parameter(s) before the "
             f"swept one, got {len(fixed)}"
         )
 

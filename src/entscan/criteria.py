@@ -15,19 +15,11 @@ from .errors import InvalidInputError, NumericalError
 from .linalg import PSD_TOL, DensityMatrix, matrix_fingerprint, trace_norm
 from .reshape import (
     MAX_SCAN_SUBSYSTEMS,
-    Label,
     cut_blocks,
-    format_mask,
-    labels_of_mask,
-    mask_of_labels,
-    mask_transpose,
-    partial_transpose,
-    subset_masks,
+    enumerate_label_subsets,
+    format_label_set,
+    generalized_transpose,
 )
-
-# Not used by the scan; kept in this namespace for callers and tracing tools
-# that look them up here.
-from .reshape import enumerate_label_subsets, generalized_transpose  # noqa: F401
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -56,16 +48,8 @@ class SubsetResult:
     def complement_mask(self) -> int:
         return ((1 << (2 * self.n)) - 1) ^ self.mask
 
-    @property
-    def labels(self) -> frozenset[Label]:
-        return labels_of_mask(self.mask, self.n)
-
-    @property
-    def complement(self) -> frozenset[Label]:
-        return labels_of_mask(self.complement_mask, self.n)
-
     def label_text(self) -> str:
-        return format_mask(self.mask, self.n)
+        return format_label_set(self.mask, self.n)
 
 
 @dataclass(frozen=True)
@@ -85,25 +69,22 @@ class CriterionReport:
         return self.argmax.trace_norm
 
     @property
-    def argmax_labels(self) -> frozenset[Label]:
-        return self.argmax.labels
-
-    @property
-    def violations(self) -> tuple[frozenset[Label], ...]:
-        return tuple(res.labels for res in self.results if res.violating)
+    def violations(self) -> tuple[int, ...]:
+        """Masks of the violating subsets, in scan order."""
+        return tuple(res.mask for res in self.results if res.violating)
 
     @property
     def negativity_per_subsystem(self) -> tuple[float, ...]:
         return tuple(
-            _negativity(self.lookup(_pt_mask(1 << k)).trace_norm) for k in range(len(self.dims))
+            _negativity(self.lookup(3 << (2 * k)).trace_norm, self.norm_tol)
+            for k in range(len(self.dims))
         )
 
     def lookup(self, mask: int) -> SubsetResult:
         """The scanned result for ``mask``, or for its complement (same
         singular values) when dedupe dropped ``mask``."""
         # results index by mask: dedupe keeps exactly the masks below 2^(2n-1)
-        full = (1 << (2 * len(self.dims))) - 1
-        return self.results[min(mask, full ^ mask)]
+        return self.results[_representative(mask, len(self.dims))]
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
@@ -123,11 +104,13 @@ def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _evaluate(rho: DensityMatrix, mask: int, norm_tol: float) -> SubsetResult:
-    """Trace norm (and, for Hermitian cases, minimum eigenvalue) of the
-    ``mask`` transpose, with one solver call."""
+def evaluate_subset(
+    rho: DensityMatrix, mask: int, norm_tol: float = NORM_TOL
+) -> SubsetResult:
+    """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
+    the ``mask`` transpose, with one solver call."""
     n = len(rho.dims)
-    mat = mask_transpose(rho, mask)
+    mat = generalized_transpose(rho, mask)
     # each subsystem flips both or neither of its labels: a partial
     # transposition, square and Hermitian on Hermitian input
     hermitian_case = not (mask ^ (mask >> 1)) & (((1 << (2 * n)) - 1) // 3)
@@ -144,20 +127,25 @@ def _evaluate(rho: DensityMatrix, mask: int, norm_tol: float) -> SubsetResult:
 
 
 def _pt_mask(subsystems: int) -> int:
-    """Label mask transposing both labels of each subsystem bit set in ``subsystems``."""
+    """The mask transposing both labels of each subsystem bit set in ``subsystems``."""
     return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
 
 
-def _negativity(pt_norm: float) -> float:
-    return max(0.0, (pt_norm - 1.0) / 2.0)
+def _negativity(pt_norm: float, norm_tol: float) -> float:
+    # floored like E: at or below the violation threshold, rounding noise reads 0
+    return (pt_norm - 1.0) / 2.0 if pt_norm > 1.0 + norm_tol else 0.0
 
 
-def evaluate_subset(
-    rho: DensityMatrix, labels, norm_tol: float = NORM_TOL
-) -> SubsetResult:
-    """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
-    one generalized transpose."""
-    return _evaluate(rho, mask_of_labels(labels, len(rho.dims)), norm_tol)
+def _representative(mask: int, n: int) -> int:
+    """The one of ``mask`` and its complement that a deduped scan keeps."""
+    return min(mask, ((1 << (2 * n)) - 1) ^ mask)
+
+
+def _solver(rho: DensityMatrix, norm_tol: float):
+    """``mask -> SubsetResult`` evaluating the subset the scan would hold for
+    ``mask``, so standalone criteria match the scan's values bitwise."""
+    n = len(rho.dims)
+    return lambda mask: evaluate_subset(rho, _representative(mask, n), norm_tol)
 
 
 def _ppt_rows(result_for, n: int, psd_tol: float) -> list[SubsetResult]:
@@ -177,7 +165,7 @@ def ppt_criterion(
     One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
     results); violating iff the minimum eigenvalue drops below ``-psd_tol``.
     """
-    return _ppt_rows(lambda mask: _evaluate(rho, mask, NORM_TOL), len(rho.dims), psd_tol)
+    return _ppt_rows(_solver(rho, NORM_TOL), len(rho.dims), psd_tol)
 
 
 def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -225,18 +213,19 @@ def realignment_criterion(
     """
     if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    return _realignment_rows(
-        lambda mask: _evaluate(rho, mask, norm_tol), rho.dims, cuts, norm_tol
-    )
+    return _realignment_rows(_solver(rho, norm_tol), rho.dims, cuts, norm_tol)
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
-    """(trace norm of the subsystem's partial transpose - 1) / 2, floored at 0.
+    """(trace norm of the subsystem's partial transpose - 1) / 2; exactly 0
+    unless that norm exceeds 1 + ``NORM_TOL``.
 
-    The trace norm comes from an SVD; ``gpt_scan`` reads the same quantity
-    from the eigenvalues it scanned, which agree to within rounding.
+    Reads the same eigenvalues as ``gpt_scan``, so the two agree bitwise.
     """
-    return _negativity(trace_norm(partial_transpose(rho, [subsystem])))
+    k, n = int(subsystem), len(rho.dims)
+    if not 0 <= k < n:
+        raise InvalidInputError(f"subsystem {k} out of range for {n} subsystems")
+    return _negativity(_solver(rho, NORM_TOL)(3 << (2 * k)).trace_norm, NORM_TOL)
 
 
 def gpt_scan(
@@ -248,15 +237,25 @@ def gpt_scan(
     """Evaluate every enumerated label subset once and assemble the verdict.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
-    largest norm resolve to the earliest subset in that order.
+    largest norm resolve to the earliest subset in that order. Raises
+    :class:`InvalidInputError` instead of certifying a matrix whose minimum
+    eigenvalue is below ``-PSD_TOL``.
     """
     n = len(rho.dims)
     results = tuple(
-        _evaluate(rho, mask, norm_tol)
-        for mask in subset_masks(n, dedupe=dedupe, max_n=max_subsystems)
+        evaluate_subset(rho, mask, norm_tol)
+        for mask in enumerate_label_subsets(n, dedupe=dedupe, max_n=max_subsystems)
     )
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     violating = any(res.violating for res in results)
+    # mask 0 is rho itself, so its eigenvalues come with the scan; a certificate
+    # on a matrix that is not positive semidefinite would mean nothing
+    min_eig = results[0].min_eigenvalue
+    if violating and min_eig < -PSD_TOL:
+        raise InvalidInputError(
+            f"input is not positive semidefinite (minimum eigenvalue {min_eig!r} "
+            f"< -{PSD_TOL!r}), so it is not a state; refusing to certify entanglement"
+        )
     # Below the violation threshold the measure is exactly zero: rounding can
     # push the largest norm a few ulp past 1 on separable states, and those
     # must report E = 0, not 1e-16.

@@ -254,7 +254,7 @@ _DIMS_RE = re.compile(r"^\d+(x\d+)*$")
 def _parse_dims(token: str) -> tuple[int, ...]:
     if not _DIMS_RE.match(token):
         raise InvalidInputError(f"bad dims {token!r}: expected e.g. 2x2 or 2x3x2")
-    return tuple(int(d) for d in token.split("x"))
+    return tuple(_parse_int(d, "dimension") for d in token.split("x"))
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -364,6 +364,11 @@ _family(
     lambda p: f"randomdm:{_dims_text(p[0])},{p[1]},{p[2]}",
     "randomdm:DIMS,RANK[,SEED]",
 )
+
+
+# Families whose last parameter is a free real one that scan-family can
+# sweep: family -> number of fixed parameters before it.
+SWEEPABLE = {"werner": 0, "isotropic": 1, "horodecki3x3": 0, "horodecki2x4": 0}
 
 
 def family_help() -> str:

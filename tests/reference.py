@@ -138,8 +138,3 @@ def random_state(side, rng, rank=None):
     g = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
     mat = g @ g.conj().T
     return mat / mat.trace().real
-
-
-def labels_to_flips(labels):
-    """Package Label objects -> ("r"|"c", k) pairs for the naive routines."""
-    return frozenset((lab.kind, lab.subsystem) for lab in labels)

@@ -83,10 +83,22 @@ class TestAnalyze:
         mat = np.diag([0.6, 0.5, -0.1, 0.0])
         data = {"dims": [2, 2], "matrix": [[[v.real, v.imag] for v in row] for row in mat.astype(complex)]}
         path.write_text(json.dumps(data))
-        assert run(capsys, "analyze", str(path))[0] == 3  # NPT, hence "certified"
+        # not a state, so never certified, with or without the flag
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert "positive semidefinite" in err
         code, _, err = run(capsys, "analyze", str(path), "--check-psd")
         assert code == 1
         assert "positive semidefinite" in err
+
+    def test_indefinite_single_qubit_is_not_certified(self, capsys, tmp_path):
+        # Hermitian with unit trace, eigenvalues 1.5 and -0.5
+        path = tmp_path / "indefinite_qubit.json"
+        path.write_text('{"dims":[2],"matrix":[[[1.5,0],[0,0]],[[0,0],[-0.5,0]]]}')
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert "-0.5" in err and "not a state" in err
 
     def test_bad_spec_and_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "nosuchfamily:1")
@@ -149,6 +161,14 @@ class TestNorms:
         assert code == 1
         assert "subsystem" in err
 
+    @pytest.mark.parametrize("labels", ["r\u00df", "c\ufb01"])
+    def test_non_ascii_label_exits_1(self, capsys, labels):
+        # upper-cased, these letters become two characters ("SS", "FI")
+        code, out, err = run(capsys, "norms", "bell:psi-", labels)
+        assert code == 1
+        assert out == ""
+        assert "unknown label" in err
+
 
 class TestScanFamily:
     def test_werner_threshold(self, capsys):
@@ -180,6 +200,11 @@ class TestScanFamily:
         code, _, err = run(capsys, "scan-family", "ghz", "--min", "0", "--max", "1")
         assert code == 1
         assert "cannot be swept" in err
+
+    def test_missing_fixed_parameter_rejected(self, capsys):
+        code, _, err = run(capsys, "scan-family", "isotropic", "--min", "0", "--max", "1")
+        assert code == 1
+        assert "isotropic needs 1 fixed parameter(s) before the swept one, got 0" in err
 
     def test_bad_range_rejected(self, capsys):
         code, _, err = run(capsys, "scan-family", "werner", "--min", "1", "--max", "0")

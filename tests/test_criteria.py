@@ -11,8 +11,10 @@ from entscan import (
     bipartite_cuts,
     evaluate_subset,
     format_label_set,
+    generalized_transpose,
     ghz_state,
     gpt_scan,
+    horodecki_3x3,
     max_mixed,
     measure_e,
     mix,
@@ -20,12 +22,12 @@ from entscan import (
     ppt_criterion,
     random_density,
     random_local_unitary,
+    random_product_state,
     realignment_criterion,
     separable_mixture,
     werner_state,
 )
 from entscan.cli import build_analyze_report
-from entscan.reshape import mask_of_labels, mask_transpose
 
 from reference import (
     all_flip_sets,
@@ -46,7 +48,7 @@ class TestPptCriterion:
         results = ppt_criterion(bell_state("psi-"))
         assert len(results) == 1
         res = results[0]
-        assert format_label_set(res.labels) == "rA,cA"
+        assert format_label_set(res.mask, 2) == "rA,cA"
         assert abs(res.trace_norm - 2.0) < 1e-9
         assert abs(res.min_eigenvalue + 0.5) < 1e-9
         assert res.violating
@@ -81,7 +83,7 @@ class TestRealignmentCriterion:
         (res,) = realignment_criterion(bell_state("psi-"))
         assert abs(res.trace_norm - 2.0) < 1e-9
         assert res.violating
-        assert format_label_set(res.labels) == "cA,rB"
+        assert format_label_set(res.mask, 2) == "cA,rB"
 
     def test_maximally_mixed_two_qubits(self):
         (res,) = realignment_criterion(max_mixed((2, 2)))
@@ -119,10 +121,10 @@ class TestGptScan:
         assert report.verdict is Verdict.ENTANGLED_CERTIFIED
         assert abs(report.max_norm - 2.0) < 1e-9
         assert abs(report.measure_e - 0.5) < 1e-9
-        violation_masks = {mask_of_labels(v) for v in report.violations}
+        violation_masks = set(report.violations)
         assert 3 in violation_masks  # {rA,cA}
         assert 6 in violation_masks  # {cA,rB}
-        assert mask_of_labels(report.argmax_labels) == 3  # canonical tie-break
+        assert report.argmax.mask == 3  # canonical tie-break
         assert len(report.results) == 8
 
     def test_no_dedupe_doubles_subsets(self):
@@ -153,7 +155,7 @@ class TestGptScan:
 
     def test_results_in_canonical_order(self):
         report = gpt_scan(bell_state("phi+"), dedupe=False)
-        masks = [mask_of_labels(res.labels) for res in report.results]
+        masks = [res.mask for res in report.results]
         assert masks == sorted(masks)
 
     def test_repeated_scans_are_bitwise_identical(self):
@@ -161,10 +163,19 @@ class TestGptScan:
         first = gpt_scan(rho)
         second = gpt_scan(rho)
         assert first.max_norm == second.max_norm
-        assert first.argmax_labels == second.argmax_labels
+        assert first.argmax.mask == second.argmax.mask
         for a, b in zip(first.results, second.results):
-            assert a.labels == b.labels
+            assert a.mask == b.mask
             assert a.trace_norm == b.trace_norm  # bitwise identical
+
+    def test_refuses_to_certify_a_matrix_that_is_not_psd(self):
+        # Hermitian with unit trace, eigenvalues 1.5 and -0.5: every label
+        # subset of a single qubit has trace norm 2
+        rho = DensityMatrix(np.diag([1.5, -0.5]), (2,))
+        with pytest.raises(InvalidInputError, match="-0.5"):
+            gpt_scan(rho)
+        with pytest.raises(InvalidInputError, match="not positive semidefinite"):
+            measure_e(rho)
 
     def test_size_limit(self):
         rho = max_mixed((2,) * 7)
@@ -205,6 +216,27 @@ class TestNegativity:
         for p in np.linspace(0, 1, 11):
             expected = max(0.0, (3 * p - 1) / 4)
             assert abs(negativity(werner_state(p), 0) - expected) < 1e-10
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            random_product_state((2, 3), seed=2),
+            separable_mixture((2, 3), 4, seed=1),
+            horodecki_3x3(0.5),
+        ],
+        ids=["productrandom", "sepmix", "horodecki3x3"],
+    )
+    def test_ppt_states_read_exactly_zero(self, rho):
+        # rounding lifts these partial-transpose norms a few ulp above 1
+        scan = gpt_scan(rho)
+        for k in range(len(rho.dims)):
+            assert negativity(rho, k) == 0.0
+            assert scan.negativity_per_subsystem[k] == 0.0
+
+    def test_subsystem_out_of_range(self):
+        for k in (-1, 2):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                negativity(bell_state("psi-"), k)
 
 
 class TestMeasureE:
@@ -251,14 +283,14 @@ class TestEvaluateSubset:
         rho = bell_state("psi-")
         report = gpt_scan(rho, dedupe=False)
         for res in report.results:
-            single = evaluate_subset(rho, res.labels)
+            single = evaluate_subset(rho, res.mask)
             assert single.trace_norm == res.trace_norm
             assert single.shape == res.shape
 
     def test_complement_recorded(self):
         rho = bell_state("psi-")
-        res = evaluate_subset(rho, frozenset())
-        assert mask_of_labels(res.complement) == 15
+        res = evaluate_subset(rho, 0)
+        assert res.complement_mask == 15
 
 
 def test_bipartite_cuts_enumeration():
@@ -277,7 +309,7 @@ class TestMaskEngine:
         rho = DensityMatrix(mat, dims)
         for mask, flips in all_flip_sets(len(dims)):
             expected = naive_generalized_transpose(mat, dims, flips)
-            got = mask_transpose(rho, mask)
+            got = generalized_transpose(rho, mask)
             assert got.shape == expected.shape, (dims, mask)
             assert np.array_equal(got, expected), (dims, mask)
 
@@ -303,17 +335,17 @@ class TestMaskEngine:
             assert row["mask"] == res.mask
             assert row["shape"] == list(res.shape)
             assert row["violating"] == res.violating
-            assert abs(row["trace_norm"] - res.trace_norm) < 1e-12
-            assert abs(row["min_eigenvalue"] - res.min_eigenvalue) < 1e-12
+            assert row["trace_norm"] == res.trace_norm
+            assert row["min_eigenvalue"] == res.min_eigenvalue
         realign = realignment_criterion(rho)
         assert len(report["realignment"]["results"]) == len(realign)
         for row, res in zip(report["realignment"]["results"], realign):
             assert row["mask"] == res.mask
             assert row["shape"] == list(res.shape)
             assert row["violating"] == res.violating
-            assert abs(row["trace_norm"] - res.trace_norm) < 1e-12
+            assert row["trace_norm"] == res.trace_norm
         for k, value in enumerate(report["negativity_per_subsystem"]):
-            assert abs(value - negativity(rho, k)) < 1e-12
+            assert value == negativity(rho, k)
 
     @pytest.mark.parametrize("dedupe", [True, False])
     def test_analyze_solves_each_subset_once(self, monkeypatch, dedupe):

@@ -7,14 +7,17 @@ from hypothesis.extra.numpy import arrays
 
 from entscan import (
     DensityMatrix,
+    InvalidInputError,
     enumerate_label_subsets,
     generalized_transpose,
     kron,
+    parse_label_set,
+    parse_state_spec,
     singular_values,
     trace_norm,
     vec,
 )
-from entscan.reshape import complement_labels
+from entscan.states import _FAMILIES
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -66,11 +69,9 @@ def test_trace_norm_triangle(a, b):
 )
 def test_complement_subsets_share_singular_spectra(re, im):
     rho = DensityMatrix(state_from(re, im), (2, 3))
-    for labels in enumerate_label_subsets(2, dedupe=True):
-        s_y = singular_values(generalized_transpose(rho, labels).mat)
-        s_c = singular_values(
-            generalized_transpose(rho, complement_labels(labels, 2)).mat
-        )
+    for mask in enumerate_label_subsets(2, dedupe=True):
+        s_y = singular_values(generalized_transpose(rho, mask))
+        s_c = singular_values(generalized_transpose(rho, 0b1111 ^ mask))
         assert np.max(np.abs(s_y - s_c)) < 1e-10
 
 
@@ -85,3 +86,33 @@ def test_hermitian_subsets_norm_at_least_one(re, im):
         from entscan import partial_transpose
 
         assert trace_norm(partial_transpose(rho, subs)) >= 1.0 - 1e-10
+
+
+# comma-separated tokens of a kind letter and one letter from all of Unicode,
+# which reach the subsystem-letter check far more often than plain text does
+label_tokens = st.lists(
+    st.tuples(st.sampled_from("rcx"), st.characters(categories=("Lu", "Ll"))).map("".join),
+    max_size=4,
+).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), label_tokens), n=st.integers(min_value=1, max_value=6))
+def test_label_text_parses_or_raises_invalid_input(text, n):
+    try:
+        mask = parse_label_set(text, n)
+    except InvalidInputError:
+        return
+    assert 0 <= mask < 1 << (2 * n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from([""] + [f"{name}:" for name in _FAMILIES]),
+    text=st.text(),
+)
+def test_state_spec_parses_or_raises_invalid_input(family, text):
+    try:
+        parse_state_spec(family + text)
+    except InvalidInputError:
+        pass

@@ -6,8 +6,6 @@ import pytest
 from entscan import (
     DensityMatrix,
     InvalidInputError,
-    Label,
-    apply_flips,
     bell_state,
     cut_and_realign,
     enumerate_label_subsets,
@@ -22,17 +20,9 @@ from entscan import (
     trace_norm,
     vec,
 )
-from entscan.reshape import (
-    complement_labels,
-    identity_reshape,
-    is_hermitian_label_set,
-    labels_of_mask,
-    mask_of_labels,
-)
 
 from reference import (
     all_flip_sets,
-    labels_to_flips,
     naive_generalized_transpose,
     naive_partial_transpose,
     naive_realign,
@@ -52,6 +42,11 @@ def two_qubit_state_with_distinct_entries():
     return DensityMatrix(mat, (2, 2))
 
 
+def flips_both_or_neither(mask, n):
+    """True when each subsystem's r and c bits are equal: a partial transposition."""
+    return all((mask >> (2 * k) & 1) == (mask >> (2 * k + 1) & 1) for k in range(n))
+
+
 class TestPrintedLayouts:
     """The realignment and the single-system row/column transposes must land
     entries in the exact documented positions (no tolerance)."""
@@ -67,46 +62,45 @@ class TestPrintedLayouts:
                 [m[2, 2], m[3, 2], m[2, 3], m[3, 3]],
             ]
         )
-        assert np.array_equal(realign(rho).mat, expected)
+        assert np.array_equal(realign(rho), expected)
 
     def test_row_transposition_of_single_system(self):
         a = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
         rho = DensityMatrix(a, (2,))
-        out = generalized_transpose(rho, {Label(0, "r")})
+        out = generalized_transpose(rho, 0b01)  # {rA}
         assert out.shape == (1, 4)
         assert np.array_equal(
-            out.mat, np.array([[a[0, 0], a[1, 0], a[0, 1], a[1, 1]]])
+            out, np.array([[a[0, 0], a[1, 0], a[0, 1], a[1, 1]]])
         )
         # row transposition is the transposed column-stacking
-        assert np.array_equal(out.mat, vec(a).T)
+        assert np.array_equal(out, vec(a).T)
 
     def test_column_transposition_of_single_system(self):
         a = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
         rho = DensityMatrix(a, (2,))
-        out = generalized_transpose(rho, {Label(0, "c")})
+        out = generalized_transpose(rho, 0b10)  # {cA}
         assert out.shape == (4, 1)
-        assert np.array_equal(out.mat, vec(a))
+        assert np.array_equal(out, vec(a))
 
     def test_row_then_column_is_global_transpose(self):
         a = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
         rho = DensityMatrix(a, (2,))
-        out = generalized_transpose(rho, {Label(0, "r"), Label(0, "c")})
-        assert np.array_equal(out.mat, a.T)
+        out = generalized_transpose(rho, 0b11)  # {rA,cA}
+        assert np.array_equal(out, a.T)
 
 
 class TestGeneralizedTranspose:
     def test_empty_set_is_identity(self):
         rho = two_qubit_state_with_distinct_entries()
-        out = generalized_transpose(rho, frozenset())
+        out = generalized_transpose(rho, 0)
         assert out.shape == (4, 4)
-        assert np.array_equal(out.mat, rho.mat)
+        assert np.array_equal(out, rho.mat)
 
     def test_full_set_is_global_transpose(self):
         rng = np.random.default_rng(0)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        full = frozenset(Label(k, kind) for k in range(2) for kind in ("r", "c"))
-        out = generalized_transpose(rho, full)
-        assert np.array_equal(out.mat, rho.mat.T)
+        out = generalized_transpose(rho, 0b1111)
+        assert np.array_equal(out, rho.mat.T)
 
     def test_matches_naive_on_all_subsets(self):
         rng = np.random.default_rng(1)
@@ -116,52 +110,51 @@ class TestGeneralizedTranspose:
             rho = DensityMatrix(mat, dims)
             for mask, flips in all_flip_sets(len(dims)):
                 expected = naive_generalized_transpose(mat, dims, flips)
-                got = generalized_transpose(rho, labels_of_mask(mask, len(dims)))
-                assert got.mat.shape == expected.shape
-                assert np.array_equal(got.mat, expected), (dims, mask)
+                got = generalized_transpose(rho, mask)
+                assert got.shape == expected.shape
+                assert np.array_equal(got, expected), (dims, mask)
 
     def test_realign_special_case(self):
         rng = np.random.default_rng(2)
         for dims in [(2, 2), (2, 3), (3, 3)]:
             rho = DensityMatrix(random_state(int(np.prod(dims)), rng), dims)
-            via_subset = generalized_transpose(rho, {Label(0, "c"), Label(1, "r")})
-            assert np.array_equal(via_subset.mat, realign(rho).mat)
+            via_subset = generalized_transpose(rho, parse_label_set("cA,rB", 2))
+            assert np.array_equal(via_subset, realign(rho))
 
     def test_partial_transpose_special_case(self):
         rng = np.random.default_rng(3)
         rho = DensityMatrix(random_state(8, rng), (2, 2, 2))
         for subs in ([0], [1], [2], [0, 2]):
-            labels = {Label(k, kind) for k in subs for kind in ("r", "c")}
-            via_subset = generalized_transpose(rho, labels)
-            assert np.array_equal(via_subset.mat, partial_transpose(rho, subs))
+            mask = sum(0b11 << (2 * k) for k in subs)
+            via_subset = generalized_transpose(rho, mask)
+            assert np.array_equal(via_subset, partial_transpose(rho, subs))
 
     def test_unknown_subsystem_rejected(self):
         rho = bell_state("phi+")
         with pytest.raises(InvalidInputError, match="does not exist"):
-            generalized_transpose(rho, {Label(5, "r")})
+            generalized_transpose(rho, 1 << 10)  # rF
 
-    def test_involution(self):
-        rng = np.random.default_rng(4)
-        rho = DensityMatrix(random_state(6, rng), (2, 3))
-        start = identity_reshape(rho)
-        for mask, _ in all_flip_sets(2):
-            labels = labels_of_mask(mask, 2)
-            once = apply_flips(start, labels)
-            twice = apply_flips(once, labels)
-            assert twice.row_labels == start.row_labels
-            assert twice.col_labels == start.col_labels
-            assert np.array_equal(twice.mat, rho.mat)
+    def test_outputs_are_read_only(self):
+        rho = ghz_state(3)
+        outputs = [
+            generalized_transpose(rho, 0),  # a view of rho.mat
+            generalized_transpose(rho, 0b100110),  # a fresh copy
+            realign(bell_state("psi-")),
+            partial_transpose(rho, [1]),
+            cut_and_realign(rho, [0, 2]),
+        ]
+        for out in outputs:
+            assert not out.flags.writeable
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(5)
         for dims in [(2, 2), (2, 3)]:
             n = len(dims)
             rho = DensityMatrix(random_state(int(np.prod(dims)), rng), dims)
-            for labels in enumerate_label_subsets(n, dedupe=False):
-                s_y = singular_values(generalized_transpose(rho, labels).mat)
-                s_c = singular_values(
-                    generalized_transpose(rho, complement_labels(labels, n)).mat
-                )
+            full = (1 << (2 * n)) - 1
+            for mask in enumerate_label_subsets(n, dedupe=False):
+                s_y = singular_values(generalized_transpose(rho, mask))
+                s_c = singular_values(generalized_transpose(rho, full ^ mask))
                 assert np.max(np.abs(s_y - s_c)) < 1e-10
 
     def test_ordering_insensitivity_of_trace_norm(self):
@@ -169,7 +162,7 @@ class TestGeneralizedTranspose:
         mat = random_state(6, rng)
         rho = DensityMatrix(mat, (2, 3))
         for mask, flips in all_flip_sets(2):
-            base = trace_norm(generalized_transpose(rho, labels_of_mask(mask, 2)).mat)
+            base = trace_norm(generalized_transpose(rho, mask))
             for kwargs in ({"c_slower": False}, {"ascending": False}):
                 alt = naive_trace_norm(
                     naive_generalized_transpose(mat, (2, 3), flips, **kwargs)
@@ -179,10 +172,10 @@ class TestGeneralizedTranspose:
     def test_hermitian_subsets_give_hermitian_norm_at_least_one(self):
         rng = np.random.default_rng(7)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        for labels in enumerate_label_subsets(2, dedupe=False):
-            if not is_hermitian_label_set(labels, 2):
+        for mask in enumerate_label_subsets(2, dedupe=False):
+            if not flips_both_or_neither(mask, 2):
                 continue
-            out = generalized_transpose(rho, labels).mat
+            out = generalized_transpose(rho, mask)
             assert out.shape[0] == out.shape[1]
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
             assert trace_norm(out) >= 1.0 - 1e-10
@@ -190,8 +183,8 @@ class TestGeneralizedTranspose:
     def test_pure_product_states_have_unit_norm_everywhere(self):
         for dims, seed in [((2, 2), 11), ((2, 3), 12), ((2, 2, 2), 13)]:
             rho = separable_mixture(dims, 1, seed=seed)
-            for labels in enumerate_label_subsets(len(dims), dedupe=False):
-                norm = trace_norm(generalized_transpose(rho, labels).mat)
+            for mask in enumerate_label_subsets(len(dims), dedupe=False):
+                norm = trace_norm(generalized_transpose(rho, mask))
                 assert abs(norm - 1.0) < 1e-10
 
 
@@ -205,7 +198,7 @@ class TestRealign:
         for dims in [(2, 2), (3, 2), (2, 4)]:
             mat = random_state(int(np.prod(dims)), rng)
             rho = DensityMatrix(mat, dims)
-            assert np.array_equal(realign(rho).mat, naive_realign(mat, dims))
+            assert np.array_equal(realign(rho), naive_realign(mat, dims))
 
     def test_kronecker_factorization(self):
         # realignment of a product is the outer product of the stacked factors
@@ -214,14 +207,14 @@ class TestRealign:
         b = random_state(3, rng)
         rho = DensityMatrix(np.kron(a, b), (2, 3))
         expected = vec(a) @ vec(b).T
-        assert np.max(np.abs(realign(rho).mat - expected)) < 1e-12
+        assert np.max(np.abs(realign(rho) - expected)) < 1e-12
 
     def test_bell_norm(self):
-        assert abs(trace_norm(realign(bell_state("psi-")).mat) - 2.0) < 1e-12
+        assert abs(trace_norm(realign(bell_state("psi-"))) - 2.0) < 1e-12
 
     def test_maximally_mixed_norm(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert abs(trace_norm(realign(rho).mat) - 0.5) < 1e-12
+        assert abs(trace_norm(realign(rho)) - 0.5) < 1e-12
 
 
 class TestPartialTranspose:
@@ -270,12 +263,12 @@ class TestCutAndRealign:
     def test_bipartite_cut_equals_realign(self):
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        assert np.array_equal(cut_and_realign(rho, [0]).mat, realign(rho).mat)
+        assert np.array_equal(cut_and_realign(rho, [0]), realign(rho))
 
     def test_ghz_first_vs_rest_norm(self):
         out = cut_and_realign(ghz_state(3), [0])
         assert out.shape == (4, 16)
-        assert abs(trace_norm(out.mat) - 2.0) < 1e-12
+        assert abs(trace_norm(out) - 2.0) < 1e-12
 
     def test_product_state_cuts_stay_bounded(self):
         rng = np.random.default_rng(15)
@@ -283,7 +276,7 @@ class TestCutAndRealign:
         mat = np.kron(np.kron(mats[0], mats[1]), mats[2])
         rho = DensityMatrix(mat, (2, 2, 2))
         for block in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            assert trace_norm(cut_and_realign(rho, block).mat) <= 1.0 + 1e-10
+            assert trace_norm(cut_and_realign(rho, block)) <= 1.0 + 1e-10
 
     def test_non_contiguous_block_against_naive(self):
         rng = np.random.default_rng(16)
@@ -293,7 +286,7 @@ class TestCutAndRealign:
         tensor = mat.reshape((2,) * 6)
         regrouped = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
         expected = naive_realign(regrouped, (4, 2))
-        assert np.array_equal(cut_and_realign(rho, [0, 2]).mat, expected)
+        assert np.array_equal(cut_and_realign(rho, [0, 2]), expected)
 
     def test_trivial_partition_rejected(self):
         rho = bell_state("phi+")
@@ -311,9 +304,9 @@ class TestCutAndRealign:
 class TestEnumeration:
     def test_single_subsystem(self):
         subsets = enumerate_label_subsets(1, dedupe=False)
-        assert [mask_of_labels(s) for s in subsets] == [0, 1, 2, 3]
-        assert subsets[0] == frozenset()
-        assert subsets[3] == frozenset({Label(0, "r"), Label(0, "c")})
+        assert list(subsets) == [0, 1, 2, 3]
+        assert subsets[0] == parse_label_set("", 1)
+        assert subsets[3] == parse_label_set("rA,cA", 1)
 
     def test_counts(self):
         assert len(enumerate_label_subsets(2, dedupe=False)) == 16
@@ -323,7 +316,7 @@ class TestEnumeration:
     def test_dedupe_keeps_smaller_mask(self):
         n = 2
         full = (1 << (2 * n)) - 1
-        kept = {mask_of_labels(s) for s in enumerate_label_subsets(n, dedupe=True)}
+        kept = set(enumerate_label_subsets(n, dedupe=True))
         for mask in kept:
             assert mask <= (full ^ mask)
         all_masks = kept | {full ^ m for m in kept}
@@ -341,17 +334,22 @@ class TestEnumeration:
 
 class TestLabelText:
     def test_round_trip(self):
-        labels = parse_label_set("cA,rB", 2)
-        assert labels == frozenset({Label(0, "c"), Label(1, "r")})
-        assert format_label_set(labels) == "cA,rB"
+        mask = parse_label_set("cA,rB", 2)
+        assert mask == 0b0110  # bit 2k = r_k, bit 2k + 1 = c_k
+        assert format_label_set(mask, 2) == "cA,rB"
+
+    def test_every_mask_round_trips(self):
+        for n in (1, 2, 3):
+            for mask in range(1 << (2 * n)):
+                assert parse_label_set(format_label_set(mask, n), n) == mask
 
     def test_display_order_r_before_c(self):
-        labels = parse_label_set("cA,rA", 2)
-        assert format_label_set(labels) == "rA,cA"
+        mask = parse_label_set("cA,rA", 2)
+        assert format_label_set(mask, 2) == "rA,cA"
 
     def test_empty(self):
-        assert parse_label_set("", 2) == frozenset()
-        assert format_label_set(frozenset()) == ""
+        assert parse_label_set("", 2) == 0
+        assert format_label_set(0, 2) == ""
 
     def test_unknown_subsystem(self):
         with pytest.raises(InvalidInputError, match="only 2"):
@@ -360,6 +358,13 @@ class TestLabelText:
     def test_bad_token(self):
         with pytest.raises(InvalidInputError, match="unknown label"):
             parse_label_set("xA", 2)
+
+    @pytest.mark.parametrize("text", ["r\u00df", "c\ufb01", "r\u0130"])
+    def test_non_ascii_letter_rejected(self, text):
+        # the first two upper-case to two characters ("SS", "FI"); the last is
+        # a letter outside A-Z
+        with pytest.raises(InvalidInputError, match="unknown label"):
+            parse_label_set(text, 2)
 
     def test_duplicate(self):
         with pytest.raises(InvalidInputError, match="duplicate"):

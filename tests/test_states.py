@@ -116,7 +116,7 @@ class TestBoundEntangledFamilies:
         for subs in ([0], [1]):
             low = np.linalg.eigvalsh(partial_transpose(rho, subs)).min()
             assert low >= -1e-9
-        assert trace_norm(realign(rho).mat) > 1.0 + 1e-9
+        assert trace_norm(realign(rho)) > 1.0 + 1e-9
 
     @pytest.mark.parametrize("b", [round(0.1 * k, 1) for k in range(1, 10)])
     def test_2x4_is_ppt_positive(self, b):
@@ -131,7 +131,7 @@ class TestBoundEntangledFamilies:
         # at the parameter endpoints realignment no longer flags the 3x3 family
         for a in (0.0, 1.0):
             rho = horodecki_3x3(a)
-            assert trace_norm(realign(rho).mat) <= 1.0 + 1e-9
+            assert trace_norm(realign(rho)) <= 1.0 + 1e-9
 
     def test_parameter_range_enforced(self):
         for bad in (-0.2, 1.3):
@@ -157,7 +157,7 @@ class TestRandomGenerators:
         rho = random_product_state((2, 3), seed=4)
         r = realign(rho)
         # product states realign to a rank-1 matrix
-        s = np.linalg.svd(r.mat, compute_uv=False)
+        s = np.linalg.svd(r, compute_uv=False)
         assert np.all(s[1:] < 1e-12)
 
     def test_separable_mixture_passes_realignment(self):
@@ -244,6 +244,9 @@ class TestSpecText:
     def test_bad_dims_token(self):
         with pytest.raises(InvalidInputError, match="bad dims"):
             parse_state_spec("maxmixed:2y2")
+        # beyond Python's 4300-digit limit on int() of a string
+        with pytest.raises(InvalidInputError, match="bad dimension"):
+            parse_state_spec("maxmixed:2x" + "9" * 5000)
 
     def test_out_of_range_parameter(self):
         with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
