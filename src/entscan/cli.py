@@ -5,7 +5,11 @@ label subset), ``scan-family`` (detection threshold of a one-parameter
 family), ``generate`` (write a matrix file).
 
 Exit codes: 0 = ran fine / nothing detected, 1 = input error,
-2 = numerical failure, 3 = entanglement certified (analyze only).
+2 = numerical failure or out of memory, 3 = entanglement certified
+(analyze only). The tolerances are fixed constants, listed in the analyze
+report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
+a state and exits 1. Specs and files are held to D <= MAX_KRON_DIM before
+anything is allocated.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -40,9 +44,10 @@ from .linalg import (
     RECON_TOL,
     TRACE_TOL,
     DensityMatrix,
+    check_dimension,
     density_matrix,
 )
-from .reshape import MAX_SCAN_SUBSYSTEMS, format_label_set, parse_label_set, subsystem_letter
+from .reshape import format_label_set, parse_label_set, subsystem_letter
 from .states import SWEEPABLE, family_help, generate, parse_state_spec, spec_text
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
@@ -71,6 +76,9 @@ def load_matrix_file(path: str):
         raise InvalidInputError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer over Python's int() digit limit, or too deep
+        raise InvalidInputError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
     dims = data.get("dims")
@@ -78,6 +86,7 @@ def load_matrix_file(path: str):
         _is_number(d, int) and d >= 1 for d in dims
     ):
         raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
+    check_dimension(dims, f"{path}: field 'dims'")
     side = prod(dims)
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != side:
@@ -95,7 +104,12 @@ def load_matrix_file(path: str):
                 raise InvalidInputError(
                     f"{path}: matrix[{i}][{j}] must be a [re, im] pair of numbers"
                 )
-            mat[i, j] = complex(cell[0], cell[1])
+            try:
+                mat[i, j] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise InvalidInputError(
+                    f"{path}: matrix[{i}][{j}] holds a number too large for a double"
+                ) from None
     name = data.get("name")
     description = data.get("description")
     for field, value in (("name", name), ("description", description)):
@@ -139,7 +153,7 @@ def _resolve_input(text: str, normalize: bool, seed: int):
 
 # --- report assembly --------------------------------------------------------
 
-def _tolerances(norm_tol: float) -> dict:
+def _tolerances() -> dict:
     return {
         "hermiticity_tol_scale": HERM_TOL_SCALE,
         "trace_tol": TRACE_TOL,
@@ -147,7 +161,7 @@ def _tolerances(norm_tol: float) -> dict:
         "purity_tol": PURITY_TOL,
         "reconstruction_tol": RECON_TOL,
         "normalize_max_deviation": NORMALIZE_MAX_DEV,
-        "norm_tol": norm_tol,
+        "norm_tol": NORM_TOL,
         "param_tol": PARAM_TOL,
     }
 
@@ -170,16 +184,12 @@ def _subsystem_letters(res) -> str:
 
 
 def build_analyze_report(
-    rho: DensityMatrix, name: str, normalized: bool, *,
-    dedupe: bool, norm_tol: float, max_subsystems: int,
-    min_eigenvalue=None,
+    rho: DensityMatrix, name: str, normalized: bool, *, dedupe: bool
 ) -> dict:
     """The analyze report; PPT, realignment and negativities are read from
     the one scan, which evaluates each distinct subset once."""
     n = len(rho.dims)
-    scan = gpt_scan(
-        rho, dedupe=dedupe, norm_tol=norm_tol, max_subsystems=max_subsystems,
-    )
+    scan = gpt_scan(rho, dedupe=dedupe)
     ppt_rows = []
     for res in scan.ppt_results():
         row = _subset_dict(res)
@@ -194,20 +204,17 @@ def build_analyze_report(
                 "".join(subsystem_letter(k) for k in cut[1]),
             )
             realignment_rows.append(row)
-    input_block = {
-        "name": name,
-        "dims": list(rho.dims),
-        "trace_re": rho.trace().real,
-        "trace_im": rho.trace().imag,
-        "hermiticity_residual": rho.hermiticity_residual(),
-        "normalized": normalized,
-    }
-    if min_eigenvalue is not None:
-        input_block["min_eigenvalue"] = min_eigenvalue
     return {
         "tool": {"name": "entscan", "version": __version__},
-        "input": input_block,
-        "tolerances": _tolerances(norm_tol),
+        "input": {
+            "name": name,
+            "dims": list(rho.dims),
+            "trace_re": rho.trace().real,
+            "trace_im": rho.trace().imag,
+            "hermiticity_residual": rho.hermiticity_residual(),
+            "normalized": normalized,
+        },
+        "tolerances": _tolerances(),
         "ppt": {"results": ppt_rows},
         "realignment": {"applicable": n >= 2, "results": realignment_rows},
         "scan": {
@@ -247,8 +254,6 @@ def render_human_analyze(report: dict) -> str:
     )
     if inp.get("normalized"):
         lines.append("input was auto-normalized by its trace")
-    if "min_eigenvalue" in inp:
-        lines.append(f"min eigenvalue of the input: {_fmt(inp['min_eigenvalue'])}")
     tol = report["tolerances"]
     lines.append(
         "tolerances: norm_tol {}  psd_tol {}  trace_tol {}".format(
@@ -324,15 +329,7 @@ def _emit(report: dict, fmt: str, human_renderer) -> None:
 
 def cmd_analyze(args) -> int:
     rho, name, normalized = _resolve_input(args.input, args.normalize, args.seed)
-    min_eig = None
-    if args.check_psd:
-        min_eig = rho.min_eigenvalue()
-        rho.validate_psd()
-    report = build_analyze_report(
-        rho, name, normalized,
-        dedupe=not args.no_dedupe, norm_tol=args.tol_norm, max_subsystems=args.max_n,
-        min_eigenvalue=min_eig,
-    )
+    report = build_analyze_report(rho, name, normalized, dedupe=not args.no_dedupe)
     _emit(report, args.format, render_human_analyze)
     return 3 if report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value else 0
 
@@ -350,7 +347,7 @@ def render_human_norms(report: dict) -> str:
 def cmd_norms(args) -> int:
     rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
     mask = parse_label_set(args.labels, len(rho.dims))
-    res = evaluate_subset(rho, mask, norm_tol=args.tol_norm)
+    res = evaluate_subset(rho, mask)
     report = _subset_dict(res)
     _emit(report, args.format, render_human_norms)
     return 0
@@ -415,29 +412,23 @@ def cmd_scan_family(args) -> int:
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")
 
-    def max_norm(value: float) -> float:
-        return gpt_scan(
-            build(value), norm_tol=args.tol_norm, max_subsystems=args.max_n,
-        ).max_norm
-
-    def violates(norm: float) -> bool:
-        return norm > 1.0 + args.tol_norm
-
     grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-    grid_rows = []
-    for value in grid:
-        norm = max_norm(value)
-        grid_rows.append({"param": value, "max_norm": norm, "violating": violates(norm)})
+    scans = [gpt_scan(build(value)) for value in grid]
+    grid_rows = [
+        {"param": value, "max_norm": rep.max_norm, "violating": bool(rep.violations)}
+        for value, rep in zip(grid, scans)
+    ]
 
-    bracket = None
-    for left, right in zip(grid_rows, grid_rows[1:]):
-        if left["violating"] != right["violating"]:
-            bracket = (left, right)
-            break
+    # the first grid point whose right neighbour has the other verdict
+    left = next(
+        (i for i in range(points - 1)
+         if grid_rows[i]["violating"] != grid_rows[i + 1]["violating"]),
+        None,
+    )
 
     threshold = None
     first_labels = None
-    if bracket is None:
+    if left is None:
         if all(row["violating"] for row in grid_rows):
             message = "no threshold in range (every sampled parameter violates)"
         elif any(row["violating"] for row in grid_rows):
@@ -445,24 +436,19 @@ def cmd_scan_family(args) -> int:
         else:
             message = "no threshold in range"
     else:
-        # orient the bracket: ok_end stays non-violating, bad_end violating
-        ok_end, bad_end = (
-            (bracket[0]["param"], bracket[1]["param"])
-            if bracket[1]["violating"]
-            else (bracket[1]["param"], bracket[0]["param"])
-        )
+        # orient the bracket: ok_end stays non-violating, bad_end violating,
+        # and bad_scan is the scan already made at bad_end
+        ok, bad = (left, left + 1) if grid_rows[left + 1]["violating"] else (left + 1, left)
+        ok_end, bad_end, bad_scan = grid[ok], grid[bad], scans[bad]
         while abs(bad_end - ok_end) > PARAM_TOL:
             mid = 0.5 * (ok_end + bad_end)
-            if violates(max_norm(mid)):
-                bad_end = mid
+            mid_scan = gpt_scan(build(mid))
+            if mid_scan.violations:
+                bad_end, bad_scan = mid, mid_scan
             else:
                 ok_end = mid
         threshold = 0.5 * (ok_end + bad_end)
-        at_bad = gpt_scan(
-            build(bad_end), norm_tol=args.tol_norm, max_subsystems=args.max_n,
-        )
-        first = next((res for res in at_bad.results if res.violating), None)
-        first_labels = first.label_text() if first else ""
+        first_labels = format_label_set(bad_scan.violations[0], len(bad_scan.dims))
         message = "violation threshold located"
 
     report = {
@@ -472,7 +458,7 @@ def cmd_scan_family(args) -> int:
         "param_max": hi,
         "grid_points": points,
         "param_tol": PARAM_TOL,
-        "norm_tol": args.tol_norm,
+        "norm_tol": NORM_TOL,
         "grid": grid_rows,
         "threshold": threshold,
         "first_violating_labels": first_labels,
@@ -503,17 +489,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--normalize", action="store_true",
-                     help="divide by the trace when |tr - 1| <= 1e-3")
-    sub.add_argument("--tol-norm", type=float, default=NORM_TOL, metavar="X",
-                     help="violation slack on (trace norm - 1), default %(default)g")
-    sub.add_argument("--max-n", type=int, default=MAX_SCAN_SUBSYSTEMS, metavar="N",
-                     help="largest subsystem count the scan accepts, default %(default)s")
+def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("human", "json"), default="human",
                      help="report format, default %(default)s")
+
+
+def _add_state_input(sub) -> None:
+    sub.add_argument("input", help="matrix file path or state spec text")
+    sub.add_argument("--normalize", action="store_true",
+                     help="divide by the trace when |tr - 1| <= 1e-3")
     sub.add_argument("--seed", type=int, default=0, metavar="S",
                      help="seed for seeded state specs that omit one, default %(default)s")
+    _add_format(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,18 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", help="run PPT, realignment and the full label-subset scan",
         epilog=f"state specs: {family_help()}",
     )
-    analyze.add_argument("input", help="matrix file path or state spec text")
+    _add_state_input(analyze)
     analyze.add_argument("--no-dedupe", action="store_true",
                          help="list all 2^(2n) subsets instead of complement pairs")
-    analyze.add_argument("--check-psd", action="store_true",
-                         help="reject input whose minimum eigenvalue is below -psd_tol")
-    _add_common(analyze)
     analyze.set_defaults(func=cmd_analyze)
 
     norms = subs.add_parser("norms", help="trace norm of one label subset")
-    norms.add_argument("input", help="matrix file path or state spec text")
+    _add_state_input(norms)
     norms.add_argument("labels", help="label subset like 'cA,rB'; empty string for none")
-    _add_common(norms)
     norms.set_defaults(func=cmd_norms)
 
     scan = subs.add_parser(
@@ -555,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--max", type=float, required=True, help="range end")
     scan.add_argument("--grid", type=int, default=33, metavar="N",
                       help="grid points before bisection, default %(default)s")
-    _add_common(scan)
+    _add_format(scan)
     scan.set_defaults(func=cmd_scan_family)
 
     gen = subs.add_parser("generate", help="write a state spec to a matrix file",
@@ -581,6 +564,9 @@ def main(argv=None) -> int:
         return 1
     except NumericalError as exc:
         sys.stderr.write(f"entscan: numerical failure: {exc}\n")
+        return 2
+    except MemoryError:
+        sys.stderr.write("entscan: out of memory\n")
         return 2
 
 

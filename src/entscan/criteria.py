@@ -14,7 +14,6 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .linalg import PSD_TOL, DensityMatrix, matrix_fingerprint, trace_norm
 from .reshape import (
-    MAX_SCAN_SUBSYSTEMS,
     cut_blocks,
     enumerate_label_subsets,
     format_label_set,
@@ -23,6 +22,8 @@ from .reshape import (
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
+# It must exceed linalg.TRACE_TOL, so that the row of a state itself (mask 0)
+# never violates and gpt_scan's refusal fires only on non-states.
 NORM_TOL = 1e-9
 
 
@@ -62,7 +63,6 @@ class CriterionReport:
     verdict: Verdict
     measure_e: float
     dedupe: bool
-    norm_tol: float
 
     @property
     def max_norm(self) -> float:
@@ -76,7 +76,7 @@ class CriterionReport:
     @property
     def negativity_per_subsystem(self) -> tuple[float, ...]:
         return tuple(
-            _negativity(self.lookup(3 << (2 * k)).trace_norm, self.norm_tol)
+            _negativity(self.lookup(3 << (2 * k)).trace_norm)
             for k in range(len(self.dims))
         )
 
@@ -88,11 +88,11 @@ class CriterionReport:
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
-        return _ppt_rows(self.lookup, len(self.dims), PSD_TOL)
+        return _ppt_rows(self.lookup, len(self.dims))
 
     def realignment_results(self) -> list[SubsetResult]:
         """:func:`realignment_criterion` over all cuts, read from the scan."""
-        return _realignment_rows(self.lookup, self.dims, None, self.norm_tol)
+        return _realignment_rows(self.lookup, self.dims, None)
 
 
 def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
@@ -104,9 +104,7 @@ def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def evaluate_subset(
-    rho: DensityMatrix, mask: int, norm_tol: float = NORM_TOL
-) -> SubsetResult:
+def evaluate_subset(rho: DensityMatrix, mask: int) -> SubsetResult:
     """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
     the ``mask`` transpose, with one solver call."""
     n = len(rho.dims)
@@ -122,7 +120,7 @@ def evaluate_subset(
         norm = trace_norm(mat)
         min_eig = None
     return SubsetResult(
-        mask, n, norm, mat.shape, hermitian_case, min_eig, norm > 1.0 + norm_tol
+        mask, n, norm, mat.shape, hermitian_case, min_eig, norm > 1.0 + NORM_TOL
     )
 
 
@@ -131,9 +129,9 @@ def _pt_mask(subsystems: int) -> int:
     return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
 
 
-def _negativity(pt_norm: float, norm_tol: float) -> float:
+def _negativity(pt_norm: float) -> float:
     # floored like E: at or below the violation threshold, rounding noise reads 0
-    return (pt_norm - 1.0) / 2.0 if pt_norm > 1.0 + norm_tol else 0.0
+    return (pt_norm - 1.0) / 2.0 if pt_norm > 1.0 + NORM_TOL else 0.0
 
 
 def _representative(mask: int, n: int) -> int:
@@ -141,31 +139,29 @@ def _representative(mask: int, n: int) -> int:
     return min(mask, ((1 << (2 * n)) - 1) ^ mask)
 
 
-def _solver(rho: DensityMatrix, norm_tol: float):
+def _solver(rho: DensityMatrix):
     """``mask -> SubsetResult`` evaluating the subset the scan would hold for
     ``mask``, so standalone criteria match the scan's values bitwise."""
     n = len(rho.dims)
-    return lambda mask: evaluate_subset(rho, _representative(mask, n), norm_tol)
+    return lambda mask: evaluate_subset(rho, _representative(mask, n))
 
 
-def _ppt_rows(result_for, n: int, psd_tol: float) -> list[SubsetResult]:
+def _ppt_rows(result_for, n: int) -> list[SubsetResult]:
     # subsystem subsets without subsystem n-1: one of each complement pair
     out = []
     for subsystems in range(1, 1 << (n - 1)):
         res = result_for(_pt_mask(subsystems))
-        out.append(replace(res, violating=res.min_eigenvalue < -psd_tol))
+        out.append(replace(res, violating=res.min_eigenvalue < -PSD_TOL))
     return out
 
 
-def ppt_criterion(
-    rho: DensityMatrix, psd_tol: float = PSD_TOL
-) -> list[SubsetResult]:
+def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
     """Positivity of every non-trivial partial transposition.
 
     One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
-    results); violating iff the minimum eigenvalue drops below ``-psd_tol``.
+    results); violating iff the minimum eigenvalue drops below ``-PSD_TOL``.
     """
-    return _ppt_rows(_solver(rho, NORM_TOL), len(rho.dims), psd_tol)
+    return _ppt_rows(_solver(rho), len(rho.dims))
 
 
 def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -188,7 +184,7 @@ def _cut_mask(block1, block2) -> int:
     return sum(2 << (2 * k) for k in block1) | sum(1 << (2 * k) for k in block2)
 
 
-def _realignment_rows(result_for, dims, cuts, norm_tol: float) -> list[SubsetResult]:
+def _realignment_rows(result_for, dims, cuts) -> list[SubsetResult]:
     n = len(dims)
     out = []
     for cut in bipartite_cuts(n) if cuts is None else cuts:
@@ -199,21 +195,19 @@ def _realignment_rows(result_for, dims, cuts, norm_tol: float) -> list[SubsetRes
         side2 = prod(dims[k] for k in block2)
         out.append(SubsetResult(
             mask, n, norm, (side1 * side1, side2 * side2), False, None,
-            norm > 1.0 + norm_tol,
+            norm > 1.0 + NORM_TOL,
         ))
     return out
 
 
-def realignment_criterion(
-    rho: DensityMatrix, cuts=None, norm_tol: float = NORM_TOL
-) -> list[SubsetResult]:
+def realignment_criterion(rho: DensityMatrix, cuts=None) -> list[SubsetResult]:
     """Trace norm of the realignment across bipartite cuts (default: all).
 
-    Any norm above 1 + ``norm_tol`` certifies entanglement.
+    Any norm above 1 + ``NORM_TOL`` certifies entanglement.
     """
     if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    return _realignment_rows(_solver(rho, norm_tol), rho.dims, cuts, norm_tol)
+    return _realignment_rows(_solver(rho), rho.dims, cuts)
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
@@ -225,37 +219,33 @@ def negativity(rho: DensityMatrix, subsystem: int) -> float:
     k, n = int(subsystem), len(rho.dims)
     if not 0 <= k < n:
         raise InvalidInputError(f"subsystem {k} out of range for {n} subsystems")
-    return _negativity(_solver(rho, NORM_TOL)(3 << (2 * k)).trace_norm, NORM_TOL)
+    return _negativity(_solver(rho)(3 << (2 * k)).trace_norm)
 
 
-def gpt_scan(
-    rho: DensityMatrix,
-    dedupe: bool = True,
-    norm_tol: float = NORM_TOL,
-    max_subsystems: int = MAX_SCAN_SUBSYSTEMS,
-) -> CriterionReport:
+def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
     """Evaluate every enumerated label subset once and assemble the verdict.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Raises
-    :class:`InvalidInputError` instead of certifying a matrix whose minimum
-    eigenvalue is below ``-PSD_TOL``.
+    :class:`InvalidInputError` when the input itself (mask 0) has trace norm
+    above 1 + ``NORM_TOL``: a unit-trace matrix can only get there through
+    negative eigenvalues, so it is not a state.
     """
     n = len(rho.dims)
     results = tuple(
-        evaluate_subset(rho, mask, norm_tol)
-        for mask in enumerate_label_subsets(n, dedupe=dedupe, max_n=max_subsystems)
+        evaluate_subset(rho, mask) for mask in enumerate_label_subsets(n, dedupe=dedupe)
     )
+    # mask 0 is rho itself: on a state its trace norm is its trace, within
+    # TRACE_TOL < NORM_TOL of 1, and a certificate on a non-state means nothing
+    own = results[0]
+    if own.violating:
+        raise InvalidInputError(
+            f"input is not positive semidefinite (trace norm {own.trace_norm!r} "
+            f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
+            "so it is not a state; refusing to certify entanglement"
+        )
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     violating = any(res.violating for res in results)
-    # mask 0 is rho itself, so its eigenvalues come with the scan; a certificate
-    # on a matrix that is not positive semidefinite would mean nothing
-    min_eig = results[0].min_eigenvalue
-    if violating and min_eig < -PSD_TOL:
-        raise InvalidInputError(
-            f"input is not positive semidefinite (minimum eigenvalue {min_eig!r} "
-            f"< -{PSD_TOL!r}), so it is not a state; refusing to certify entanglement"
-        )
     # Below the violation threshold the measure is exactly zero: rounding can
     # push the largest norm a few ulp past 1 on separable states, and those
     # must report E = 0, not 1e-16.
@@ -266,15 +256,10 @@ def gpt_scan(
         verdict=Verdict.ENTANGLED_CERTIFIED if violating else Verdict.UNDETECTED,
         measure_e=(best.trace_norm - 1.0) / 2.0 if violating else 0.0,
         dedupe=dedupe,
-        norm_tol=norm_tol,
     )
 
 
-def measure_e(
-    rho: DensityMatrix,
-    dedupe: bool = True,
-    max_subsystems: int = MAX_SCAN_SUBSYSTEMS,
-) -> float:
+def measure_e(rho: DensityMatrix, dedupe: bool = True) -> float:
     """Largest (trace norm - 1) / 2 over all label subsets, zero when no
     subset exceeds the violation threshold.
 
@@ -282,4 +267,4 @@ def measure_e(
     subsystem's negativity since the scan includes all partial
     transpositions.
     """
-    return gpt_scan(rho, dedupe=dedupe, max_subsystems=max_subsystems).measure_e
+    return gpt_scan(rho, dedupe=dedupe).measure_e

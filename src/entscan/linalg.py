@@ -26,7 +26,8 @@ PURITY_TOL = 1e-9
 RECON_TOL = 1e-9
 NORMALIZE_MAX_DEV = 1e-3
 
-# Guard against runaway Kronecker growth; everything here is desk scale.
+# The one dimension budget: Kronecker products, parsed state specs and loaded
+# matrix files all stay at D <= MAX_KRON_DIM; everything here is desk scale.
 MAX_KRON_DIM = 4096
 
 
@@ -51,6 +52,17 @@ def matrix_fingerprint(a: np.ndarray) -> str:
     arr = np.ascontiguousarray(a, dtype=complex)
     digest = hashlib.sha256(arr.tobytes()).hexdigest()[:12]
     return f"{arr.shape[0]}x{arr.shape[1]} matrix, fro={np.linalg.norm(arr):.6e}, sha256:{digest}"
+
+
+def check_dimension(dims, what: str) -> None:
+    """Raise unless the product of ``dims`` is at most ``MAX_KRON_DIM``; stops
+    multiplying once over, so huge entries cost nothing. Non-positive entries
+    are left to the callers' own checks."""
+    side = 1
+    for d in dims:
+        side *= max(d, 0)
+        if side > MAX_KRON_DIM:
+            raise InvalidInputError(f"{what}: D exceeds the dimension limit {MAX_KRON_DIM}")
 
 
 def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:

@@ -164,9 +164,7 @@ def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> np.nd
     return _relabel(rho, axes, (side1 * side1, side2 * side2))
 
 
-def enumerate_label_subsets(
-    n: int, dedupe: bool = True, max_n: int = MAX_SCAN_SUBSYSTEMS
-) -> range:
+def enumerate_label_subsets(n: int, dedupe: bool = True) -> range:
     """All 2^(2n) subset masks in ascending order.
 
     With ``dedupe`` (the default) only one representative of each
@@ -176,9 +174,10 @@ def enumerate_label_subsets(
     """
     if n < 1:
         raise InvalidInputError(f"need at least one subsystem, got n={n}")
-    if n > max_n:
+    if n > MAX_SCAN_SUBSYSTEMS:
         raise InvalidInputError(
-            f"{n} subsystems means 2^{2 * n} subsets, beyond the scan limit of {max_n}; "
+            f"{n} subsystems means 2^{2 * n} subsets, beyond the scan limit of "
+            f"{MAX_SCAN_SUBSYSTEMS}; "
             "evaluate chosen subsets directly via generalized_transpose"
         )
     return range(1 << (2 * n - 1 if dedupe else 2 * n))

@@ -12,7 +12,7 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_dimension
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -254,7 +254,21 @@ _DIMS_RE = re.compile(r"^\d+(x\d+)*$")
 def _parse_dims(token: str) -> tuple[int, ...]:
     if not _DIMS_RE.match(token):
         raise InvalidInputError(f"bad dims {token!r}: expected e.g. 2x2 or 2x3x2")
-    return tuple(_parse_int(d, "dimension") for d in token.split("x"))
+    dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
+    check_dimension(dims, f"dims {token!r}")
+    return dims
+
+
+def _parse_qubits(token: str) -> int:
+    n = _parse_int(token, "qubit count")
+    check_dimension((2 for _ in range(n)), f"{n} qubits")  # never forms 2^n
+    return n
+
+
+def _parse_local_dim(token: str) -> int:
+    d = _parse_int(token, "local dimension")
+    check_dimension((d, d), f"local dimension {d}")
+    return d
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -292,14 +306,14 @@ _family(
 )
 _family(
     "ghz", 1, 1,
-    lambda toks, seed: (_parse_int(toks[0], "qubit count"),),
+    lambda toks, seed: (_parse_qubits(toks[0]),),
     lambda p: ghz_state(p[0]),
     lambda p: f"ghz:{p[0]}",
     "ghz:N (N qubits)",
 )
 _family(
     "w", 1, 1,
-    lambda toks, seed: (_parse_int(toks[0], "qubit count"),),
+    lambda toks, seed: (_parse_qubits(toks[0]),),
     lambda p: w_state(p[0]),
     lambda p: f"w:{p[0]}",
     "w:N (N qubits)",
@@ -313,8 +327,7 @@ _family(
 )
 _family(
     "isotropic", 2, 2,
-    lambda toks, seed: (_parse_int(toks[0], "local dimension"),
-                        _parse_float(toks[1], "fidelity")),
+    lambda toks, seed: (_parse_local_dim(toks[0]), _parse_float(toks[1], "fidelity")),
     lambda p: isotropic_state(p[0], p[1]),
     lambda p: f"isotropic:{p[0]},{p[1]!r}",
     "isotropic:D,F (F in [0,1])",

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface (driven in-process)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from entscan import generate
-from entscan.cli import load_matrix_file, main, save_matrix_file
+import entscan
+from entscan import cli, generate
+from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
 
 def run(capsys, *argv):
@@ -83,13 +87,47 @@ class TestAnalyze:
         mat = np.diag([0.6, 0.5, -0.1, 0.0])
         data = {"dims": [2, 2], "matrix": [[[v.real, v.imag] for v in row] for row in mat.astype(complex)]}
         path.write_text(json.dumps(data))
-        # not a state, so never certified, with or without the flag
+        # not a state, so never certified
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1
         assert "positive semidefinite" in err
-        code, _, err = run(capsys, "analyze", str(path), "--check-psd")
+
+    @staticmethod
+    def _diag_file(tmp_path, negative):
+        # diagonal with unit trace and one eigenvalue -negative: passes
+        # validation, trace norm 1 + 2 * negative
+        path = tmp_path / "diag.json"
+        diag = [0.5 + negative / 2, 0.5 + negative / 2, 0.0, -negative]
+        cells = [[[v if i == j else 0.0, 0.0] for j in range(4)] for i, v in enumerate(diag)]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": cells}))
+        return str(path)
+
+    def test_trace_norm_above_the_slack_is_not_a_state(self, capsys, tmp_path):
+        code, out, err = run(capsys, "analyze", self._diag_file(tmp_path, 1e-9))
         assert code == 1
-        assert "positive semidefinite" in err
+        assert out == ""
+        assert "not positive semidefinite" in err and "not a state" in err
+
+    def test_trace_norm_within_the_slack_is_undetected(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "analyze", self._diag_file(tmp_path, 4e-10))
+        assert code == 0
+        assert "verdict: UNDETECTED" in out
+
+    def test_oversized_spec_exits_1_before_allocating(self, capsys):
+        code, out, err = run(capsys, "analyze", "ghz:40")
+        assert code == 1
+        assert out == ""
+        assert "dimension limit" in err
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        code, out, err = run(capsys, "analyze", "bell:psi-")
+        assert code == 2
+        assert out == ""
+        assert "out of memory" in err
 
     def test_indefinite_single_qubit_is_not_certified(self, capsys, tmp_path):
         # Hermitian with unit trace, eigenvalues 1.5 and -0.5
@@ -137,6 +175,34 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 1
         assert field in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # over the double range: complex() raises OverflowError
+            (b'{"dims":[1],"matrix":[[[1' + b"0" * 400 + b',0]]]}', "too large for a double"),
+            # over Python's 4300-digit limit on int(): json raises ValueError
+            (b'{"dims":[1],"matrix":[[[1' + b"0" * 5000 + b',0]]]}', "unreadable JSON"),
+            (b'{"name":"\xff","dims":[1],"matrix":[[[1,0]]]}', "can't decode"),
+            (b"[" * 100000, "unreadable JSON"),  # RecursionError
+        ],
+        ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting"],
+    )
+    def test_unparseable_files_exit_1(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_dimension_budget_is_checked_before_allocation(self, capsys, tmp_path):
+        # 4097 rows pass the row count, so the matrix would be allocated next
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dims": [4097], "matrix": [[]] * 4097}))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert "field 'dims': D exceeds the dimension limit 4096" in err
 
 
 class TestNorms:
@@ -206,6 +272,24 @@ class TestScanFamily:
         assert code == 1
         assert "isotropic needs 1 fixed parameter(s) before the swept one, got 0" in err
 
+    def test_every_scan_is_used_once(self, capsys, monkeypatch):
+        scans = []
+
+        def counted(rho, *args, **kwargs):
+            scans.append(rho)
+            return original(rho, *args, **kwargs)
+
+        original = cli.gpt_scan
+        monkeypatch.setattr(cli, "gpt_scan", counted)
+        code, report, _ = run_json(capsys, "scan-family", "werner", "--min", "0", "--max", "1")
+        assert code == 0
+        # the grid step 1/32 and its halvings are exact binary fractions
+        width, steps = 1 / 32, 0
+        while width > PARAM_TOL:
+            width, steps = width / 2, steps + 1
+        # grid points plus bisection steps, with no extra scan at the end
+        assert len(scans) == report["grid_points"] + steps == 33 + 15
+
     def test_bad_range_rejected(self, capsys):
         code, _, err = run(capsys, "scan-family", "werner", "--min", "1", "--max", "0")
         assert code == 1
@@ -256,6 +340,53 @@ class TestDeterminism:
         assert first == second
 
 
+def _analyze_in_subprocess(spec, blas_threads):
+    src = os.path.dirname(os.path.dirname(entscan.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(blas_threads),
+        PYTHONPATH=src if not path else src + os.pathsep + path,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "entscan.cli", "analyze", spec, "--format", "json"],
+        env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    return proc.stdout
+
+
+def _assert_same_up_to_float_noise(a, b, where="report"):
+    assert type(a) is type(b), where
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            _assert_same_up_to_float_noise(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same_up_to_float_noise(x, y, f"{where}[{i}]")
+    elif isinstance(a, float):
+        assert abs(a - b) <= 1e-12, where
+    else:
+        assert a == b, where
+
+
+class TestBlasThreads:
+    """The promise: byte-identical reports at one BLAS thread count, and only
+    last-digit float changes between thread counts."""
+
+    SPEC = "randomdm:3x3x3x3,81,1"
+
+    def test_same_thread_count_is_byte_identical(self):
+        assert _analyze_in_subprocess(self.SPEC, 1) == _analyze_in_subprocess(self.SPEC, 1)
+
+    def test_thread_counts_differ_only_in_float_noise(self):
+        one = json.loads(_analyze_in_subprocess(self.SPEC, 1))
+        two = json.loads(_analyze_in_subprocess(self.SPEC, 2))
+        _assert_same_up_to_float_noise(one, two)
+
+
 class TestArgumentHandling:
     def test_missing_subcommand_exits_1(self, capsys):
         assert main([]) == 1
@@ -272,7 +403,26 @@ class TestArgumentHandling:
         assert with_flag == explicit
         assert with_flag["input"]["name"] == "sepmix:2x2,3,5"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "maxmixed:2x2", "--tol-norm", "-1"],
+            ["analyze", "maxmixed:2x2", "--max-n", "7"],
+            ["analyze", "maxmixed:2x2", "--check-psd"],
+            ["norms", "bell:psi-", "cA", "--max-n", "2"],
+            ["norms", "bell:psi-", "cA", "--tol-norm", "0"],
+            ["scan-family", "werner", "--min", "0", "--max", "1", "--normalize"],
+            ["scan-family", "werner", "--min", "0", "--max", "1", "--seed", "3"],
+            ["scan-family", "werner", "--min", "0", "--max", "1", "--tol-norm", "nan"],
+        ],
+    )
+    def test_tuning_flags_are_unknown_arguments(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+
     def test_max_n_limit_is_enforced(self, capsys):
-        code, _, err = run(capsys, "analyze", "ghz:3", "--max-n", "2")
+        code, _, err = run(capsys, "analyze", "ghz:7")
         assert code == 1
         assert "scan limit" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entscan import (
+    NORM_TOL,
     DensityMatrix,
     InvalidInputError,
     Verdict,
@@ -28,6 +29,7 @@ from entscan import (
     werner_state,
 )
 from entscan.cli import build_analyze_report
+from entscan.linalg import TRACE_TOL
 
 from reference import (
     all_flip_sets,
@@ -176,6 +178,13 @@ class TestGptScan:
             gpt_scan(rho)
         with pytest.raises(InvalidInputError, match="not positive semidefinite"):
             measure_e(rho)
+
+    def test_no_state_trips_the_mask_0_refusal(self):
+        # a state's own trace norm is its trace, which DensityMatrix holds
+        # within TRACE_TOL of 1, below the violation slack
+        assert TRACE_TOL < NORM_TOL
+        rho = DensityMatrix(np.diag([0.5 + 0.9 * TRACE_TOL, 0.5, 0.0, 0.0]), (2, 2))
+        assert gpt_scan(rho).verdict is Verdict.UNDETECTED
 
     def test_size_limit(self):
         rho = max_mixed((2,) * 7)
@@ -326,9 +335,7 @@ class TestMaskEngine:
         ids=["bell", "werner", "2x3", "3x2x2", "2x2x2x2"],
     )
     def test_analyze_matches_standalone_criteria(self, rho, dedupe):
-        report = build_analyze_report(
-            rho, "", False, dedupe=dedupe, norm_tol=1e-9, max_subsystems=6
-        )
+        report = build_analyze_report(rho, "", False, dedupe=dedupe)
         ppt = ppt_criterion(rho)
         assert len(report["ppt"]["results"]) == len(ppt)
         for row, res in zip(report["ppt"]["results"], ppt):
@@ -360,9 +367,7 @@ class TestMaskEngine:
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
         rho = random_density((2, 3, 2), seed=8)
-        report = build_analyze_report(
-            rho, "", False, dedupe=dedupe, norm_tol=1e-9, max_subsystems=6
-        )
+        report = build_analyze_report(rho, "", False, dedupe=dedupe)
         assert report["scan"]["subsets_evaluated"] == (32 if dedupe else 64)
         assert len(calls) == report["scan"]["subsets_evaluated"]
         assert calls.count("eigvalsh") == sum(

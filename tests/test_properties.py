@@ -1,5 +1,9 @@
 """Property-based tests of the core linear-algebra invariants."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from entscan import (
     trace_norm,
     vec,
 )
+from entscan.cli import load_matrix_file
 from entscan.states import _FAMILIES
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -116,3 +121,67 @@ def test_state_spec_parses_or_raises_invalid_input(family, text):
         parse_state_spec(family + text)
     except InvalidInputError:
         pass
+
+
+def _load_bytes(content: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        return load_matrix_file(path)
+
+
+def _loads_or_raises_invalid_input(content: bytes) -> None:
+    try:
+        mat, dims, name, description = _load_bytes(content)
+    except InvalidInputError:
+        return
+    assert mat.shape == (np.prod(dims),) * 2
+    assert name is None or isinstance(name, str)
+    assert description is None or isinstance(description, str)
+
+
+# integers up to 401 digits overflow a double; JSON has no larger-digit
+# writer here, since json.dumps itself stops at Python's 4300-digit limit
+json_numbers = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400), st.floats(), st.booleans()
+)
+json_values = st.recursive(
+    st.one_of(st.none(), json_numbers, st.text()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(st.text(), children, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def matrix_documents(draw):
+    """Files near the schema: dims often match a square matrix of [re, im]
+    cells, and any field may instead hold any JSON value."""
+    side = draw(st.integers(min_value=0, max_value=3))
+    cell = st.one_of(st.lists(json_numbers, min_size=2, max_size=2), json_values)
+    doc = {
+        "dims": draw(st.one_of(st.just([side]), st.just([1, side]), json_values)),
+        "matrix": draw(st.one_of(
+            st.lists(st.lists(cell, min_size=side, max_size=side),
+                     min_size=side, max_size=side),
+            json_values,
+        )),
+    }
+    for field in ("name", "description"):
+        if draw(st.booleans()):
+            doc[field] = draw(st.one_of(st.text(), json_values))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.binary(max_size=200))
+def test_matrix_file_bytes_load_or_raise_invalid_input(content):
+    _loads_or_raises_invalid_input(content)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=matrix_documents())
+def test_matrix_file_fields_load_or_raise_invalid_input(doc):
+    _loads_or_raises_invalid_input(json.dumps(doc).encode())

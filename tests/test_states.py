@@ -248,6 +248,29 @@ class TestSpecText:
         with pytest.raises(InvalidInputError, match="bad dimension"):
             parse_state_spec("maxmixed:2x" + "9" * 5000)
 
+    @pytest.mark.parametrize(
+        "largest, smallest_over",
+        [
+            ("ghz:12", "ghz:13"),
+            ("w:12", "w:13"),
+            ("isotropic:64,0.5", "isotropic:65,0.5"),
+            ("maxmixed:4096", "maxmixed:4097"),
+            ("productrandom:64x64", "productrandom:64x65"),
+            ("sepmix:16x16x16,2", "sepmix:16x16x17,2"),
+            ("randomdm:" + "x".join("2" * 12) + ",1", "randomdm:" + "x".join("2" * 13) + ",1"),
+        ],
+    )
+    def test_dimension_budget_is_checked_at_parse(self, largest, smallest_over):
+        # parsing allocates nothing, so both sides of the boundary are safe here
+        parse_state_spec(largest)
+        with pytest.raises(InvalidInputError, match="D exceeds the dimension limit 4096"):
+            parse_state_spec(smallest_over)
+
+    def test_huge_sizes_are_rejected_without_computing_them(self):
+        for text in ("ghz:" + "9" * 4000, "maxmixed:" + "x".join(["9" * 4000] * 3)):
+            with pytest.raises(InvalidInputError, match="dimension limit"):
+                parse_state_spec(text)
+
     def test_out_of_range_parameter(self):
         with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
             generate("werner:1.5")
