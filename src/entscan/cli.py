@@ -8,8 +8,9 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 2 = numerical failure or out of memory, 3 = entanglement certified
 (analyze only). The tolerances are fixed constants, listed in the analyze
 report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
-a state and exits 1. Specs and files are held to D <= MAX_KRON_DIM before
-anything is allocated.
+a state and exits 1, in analyze and norms alike. Specs and files are held to
+D <= MAX_KRON_DIM, and mixture terms and scan-family grid points to at most
+MAX_KRON_DIM, before anything is allocated.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -30,6 +31,7 @@ from .criteria import (
     bipartite_cuts,
     evaluate_subset,
     gpt_scan,
+    state_row,
 )
 
 # The report reads these criteria from the scan; kept in this namespace for
@@ -44,11 +46,12 @@ from .linalg import (
     RECON_TOL,
     TRACE_TOL,
     DensityMatrix,
+    check_count,
     check_dimension,
     density_matrix,
 )
 from .reshape import format_label_set, parse_label_set, subsystem_letter
-from .states import SWEEPABLE, family_help, generate, parse_state_spec, spec_text
+from .states import StateSpec, family_help, generate, parse_state_spec, parse_sweep, spec_text
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 
@@ -347,35 +350,11 @@ def render_human_norms(report: dict) -> str:
 def cmd_norms(args) -> int:
     rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
     mask = parse_label_set(args.labels, len(rho.dims))
-    res = evaluate_subset(rho, mask)
+    own = state_row(rho)  # refuses a non-state, as analyze does
+    res = own if mask == 0 else evaluate_subset(rho, mask)
     report = _subset_dict(res)
     _emit(report, args.format, render_human_norms)
     return 0
-
-
-def _resolve_sweep(text: str):
-    """Turn a family spec with its trailing real parameter omitted into a
-    builder ``param -> DensityMatrix`` plus a canonical description."""
-    family, _, rest = text.strip().partition(":")
-    family = family.strip().lower()
-    fixed = [t.strip() for t in rest.split(",") if t.strip()] if rest.strip() else []
-    if family not in SWEEPABLE:
-        raise InvalidInputError(
-            f"family {family!r} cannot be swept; families with one free real "
-            f"parameter: {', '.join(sorted(SWEEPABLE))}"
-        )
-    if len(fixed) != SWEEPABLE[family]:
-        raise InvalidInputError(
-            f"{family} needs {SWEEPABLE[family]} fixed parameter(s) before the "
-            f"swept one, got {len(fixed)}"
-        )
-
-    def build(value: float) -> DensityMatrix:
-        tokens = fixed + [repr(float(value))]
-        return generate(f"{family}:{','.join(tokens)}")
-
-    desc = family if not fixed else f"{family}:{','.join(fixed)}"
-    return build, desc
 
 
 def render_human_scan_family(report: dict) -> str:
@@ -404,13 +383,17 @@ def render_human_scan_family(report: dict) -> str:
 
 
 def cmd_scan_family(args) -> int:
-    build, desc = _resolve_sweep(args.family)
+    family, fixed, desc = parse_sweep(args.family)
     lo, hi = float(args.min), float(args.max)
     if not lo < hi:
         raise InvalidInputError(f"need min < max, got [{lo}, {hi}]")
     points = int(args.grid)
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")
+    check_count(points, "grid point count")
+
+    def build(value: float) -> DensityMatrix:
+        return generate(StateSpec(family, fixed + (value,)))
 
     grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     scans = [gpt_scan(build(value)) for value in grid]

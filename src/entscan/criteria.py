@@ -7,18 +7,12 @@ verdict is UNDETECTED.
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import prod
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import PSD_TOL, DensityMatrix, matrix_fingerprint, trace_norm
-from .reshape import (
-    cut_blocks,
-    enumerate_label_subsets,
-    format_label_set,
-    generalized_transpose,
-)
+from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
+from .reshape import enumerate_label_subsets, format_label_set, generalized_transpose
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -52,6 +46,12 @@ class SubsetResult:
     def label_text(self) -> str:
         return format_label_set(self.mask, self.n)
 
+    def as_mask(self, mask: int) -> "SubsetResult":
+        """This row read as ``mask``, its own mask or its complement. The
+        complement's transpose is the transpose of this row's matrix: same
+        values, reversed shape."""
+        return self if mask == self.mask else replace(self, mask=mask, shape=self.shape[::-1])
+
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -81,10 +81,10 @@ class CriterionReport:
         )
 
     def lookup(self, mask: int) -> SubsetResult:
-        """The scanned result for ``mask``, or for its complement (same
-        singular values) when dedupe dropped ``mask``."""
+        """The result for ``mask``, read from its complement's row when
+        dedupe dropped ``mask``."""
         # results index by mask: dedupe keeps exactly the masks below 2^(2n-1)
-        return self.results[_representative(mask, len(self.dims))]
+        return self.results[_representative(mask, len(self.dims))].as_mask(mask)
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
@@ -92,7 +92,7 @@ class CriterionReport:
 
     def realignment_results(self) -> list[SubsetResult]:
         """:func:`realignment_criterion` over all cuts, read from the scan."""
-        return _realignment_rows(self.lookup, self.dims, None)
+        return _realignment_rows(self.lookup, len(self.dims))
 
 
 def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
@@ -143,23 +143,21 @@ def _solver(rho: DensityMatrix):
     """``mask -> SubsetResult`` evaluating the subset the scan would hold for
     ``mask``, so standalone criteria match the scan's values bitwise."""
     n = len(rho.dims)
-    return lambda mask: evaluate_subset(rho, _representative(mask, n))
+    return lambda mask: evaluate_subset(rho, _representative(mask, n)).as_mask(mask)
 
 
 def _ppt_rows(result_for, n: int) -> list[SubsetResult]:
     # subsystem subsets without subsystem n-1: one of each complement pair
-    out = []
-    for subsystems in range(1, 1 << (n - 1)):
-        res = result_for(_pt_mask(subsystems))
-        out.append(replace(res, violating=res.min_eigenvalue < -PSD_TOL))
-    return out
+    return [result_for(_pt_mask(subsystems)) for subsystems in range(1, 1 << (n - 1))]
 
 
 def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
-    """Positivity of every non-trivial partial transposition.
+    """Every non-trivial partial transposition, as scan rows.
 
     One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
-    results); violating iff the minimum eigenvalue drops below ``-PSD_TOL``.
+    results). A row violates, like every scan row, iff its trace norm exceeds
+    1 + ``NORM_TOL``; on a state that is a negative eigenvalue, which
+    ``min_eigenvalue`` reports.
     """
     return _ppt_rows(_solver(rho), len(rho.dims))
 
@@ -184,30 +182,20 @@ def _cut_mask(block1, block2) -> int:
     return sum(2 << (2 * k) for k in block1) | sum(1 << (2 * k) for k in block2)
 
 
-def _realignment_rows(result_for, dims, cuts) -> list[SubsetResult]:
-    n = len(dims)
-    out = []
-    for cut in bipartite_cuts(n) if cuts is None else cuts:
-        block1, block2 = cut_blocks(n, *cut)
-        mask = _cut_mask(block1, block2)
-        norm = result_for(mask).trace_norm
-        side1 = prod(dims[k] for k in block1)
-        side2 = prod(dims[k] for k in block2)
-        out.append(SubsetResult(
-            mask, n, norm, (side1 * side1, side2 * side2), False, None,
-            norm > 1.0 + NORM_TOL,
-        ))
-    return out
+def _realignment_rows(result_for, n: int) -> list[SubsetResult]:
+    # the cut's mask keeps both labels of block1 on the row side and both of
+    # block2 on the column side: shape (d1^2, d2^2), like the realignment
+    return [result_for(_cut_mask(*cut)) for cut in bipartite_cuts(n)]
 
 
-def realignment_criterion(rho: DensityMatrix, cuts=None) -> list[SubsetResult]:
-    """Trace norm of the realignment across bipartite cuts (default: all).
+def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:
+    """Trace norm of the realignment across every bipartite cut.
 
     Any norm above 1 + ``NORM_TOL`` certifies entanglement.
     """
     if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    return _realignment_rows(_solver(rho), rho.dims, cuts)
+    return _realignment_rows(_solver(rho), len(rho.dims))
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
@@ -222,28 +210,30 @@ def negativity(rho: DensityMatrix, subsystem: int) -> float:
     return _negativity(_solver(rho)(3 << (2 * k)).trace_norm)
 
 
-def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
-    """Evaluate every enumerated label subset once and assemble the verdict.
-
-    Results come in canonical (mask-ascending) subset order. Ties for the
-    largest norm resolve to the earliest subset in that order. Raises
-    :class:`InvalidInputError` when the input itself (mask 0) has trace norm
-    above 1 + ``NORM_TOL``: a unit-trace matrix can only get there through
-    negative eigenvalues, so it is not a state.
-    """
-    n = len(rho.dims)
-    results = tuple(
-        evaluate_subset(rho, mask) for mask in enumerate_label_subsets(n, dedupe=dedupe)
-    )
-    # mask 0 is rho itself: on a state its trace norm is its trace, within
-    # TRACE_TOL < NORM_TOL of 1, and a certificate on a non-state means nothing
-    own = results[0]
+def state_row(rho: DensityMatrix) -> SubsetResult:
+    """The mask-0 row (the input itself). Raises :class:`InvalidInputError`
+    when its trace norm exceeds 1 + ``NORM_TOL``: a unit-trace matrix can only
+    get there through negative eigenvalues, so it is not a state."""
+    # on a state the trace norm is the trace, within TRACE_TOL < NORM_TOL of 1
+    own = evaluate_subset(rho, 0)
     if own.violating:
         raise InvalidInputError(
             f"input is not positive semidefinite (trace norm {own.trace_norm!r} "
             f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
             "so it is not a state; refusing to certify entanglement"
         )
+    return own
+
+
+def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
+    """Evaluate every enumerated label subset once and assemble the verdict.
+
+    Results come in canonical (mask-ascending) subset order. Ties for the
+    largest norm resolve to the earliest subset in that order. Refuses input
+    that is not a state, through :func:`state_row`, before solving the rest.
+    """
+    masks = enumerate_label_subsets(len(rho.dims), dedupe=dedupe)
+    results = (state_row(rho), *(evaluate_subset(rho, mask) for mask in masks[1:]))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     violating = any(res.violating for res in results)
     # Below the violation threshold the measure is exactly zero: rounding can
@@ -259,7 +249,7 @@ def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
     )
 
 
-def measure_e(rho: DensityMatrix, dedupe: bool = True) -> float:
+def measure_e(rho: DensityMatrix) -> float:
     """Largest (trace norm - 1) / 2 over all label subsets, zero when no
     subset exceeds the violation threshold.
 
@@ -267,4 +257,4 @@ def measure_e(rho: DensityMatrix, dedupe: bool = True) -> float:
     subsystem's negativity since the scan includes all partial
     transpositions.
     """
-    return gpt_scan(rho, dedupe=dedupe).measure_e
+    return gpt_scan(rho).measure_e

@@ -65,15 +65,22 @@ def check_dimension(dims, what: str) -> None:
             raise InvalidInputError(f"{what}: D exceeds the dimension limit {MAX_KRON_DIM}")
 
 
-def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def check_count(count: int, what: str) -> None:
+    """Raise unless ``count`` is at most ``MAX_KRON_DIM``: counts of work
+    items (mixture terms, sweep grid points) share the dimension budget."""
+    if count > MAX_KRON_DIM:
+        raise InvalidInputError(f"{what} {count} exceeds the limit {MAX_KRON_DIM}")
+
+
+def kron(a, b) -> np.ndarray:
     """Kronecker product with the first factor's indices varying slowest."""
     am = as_matrix(a, "a")
     bm = as_matrix(b, "b")
     rows = am.shape[0] * bm.shape[0]
     cols = am.shape[1] * bm.shape[1]
-    if rows > max_dim or cols > max_dim:
+    if rows > MAX_KRON_DIM or cols > MAX_KRON_DIM:
         raise InvalidInputError(
-            f"Kronecker product shape ({rows}, {cols}) exceeds the size limit {max_dim}"
+            f"Kronecker product shape ({rows}, {cols}) exceeds the size limit {MAX_KRON_DIM}"
         )
     return _freeze(np.kron(am, bm))
 
@@ -161,10 +168,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @property
-    def subsystem_count(self) -> int:
-        return len(self.dims)
-
     def trace(self) -> complex:
         return complex(self.mat.trace())
 
@@ -183,12 +186,12 @@ class DensityMatrix:
                 f"eigensolver did not converge for {matrix_fingerprint(self.mat)}"
             ) from exc
 
-    def validate_psd(self, tol: float = PSD_TOL) -> None:
-        """Raise unless the minimum eigenvalue is at least ``-tol``."""
+    def validate_psd(self) -> None:
+        """Raise unless the minimum eigenvalue is at least ``-PSD_TOL``."""
         low = self.min_eigenvalue()
-        if low < -tol:
+        if low < -PSD_TOL:
             raise InvalidInputError(
-                f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{tol:g}"
+                f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{PSD_TOL:g}"
             )
 
 

@@ -12,7 +12,7 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DensityMatrix, check_dimension
+from .linalg import DensityMatrix, check_count, check_dimension
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -251,26 +251,6 @@ class StateSpec:
 _DIMS_RE = re.compile(r"^\d+(x\d+)*$")
 
 
-def _parse_dims(token: str) -> tuple[int, ...]:
-    if not _DIMS_RE.match(token):
-        raise InvalidInputError(f"bad dims {token!r}: expected e.g. 2x2 or 2x3x2")
-    dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
-    check_dimension(dims, f"dims {token!r}")
-    return dims
-
-
-def _parse_qubits(token: str) -> int:
-    n = _parse_int(token, "qubit count")
-    check_dimension((2 for _ in range(n)), f"{n} qubits")  # never forms 2^n
-    return n
-
-
-def _parse_local_dim(token: str) -> int:
-    d = _parse_int(token, "local dimension")
-    check_dimension((d, d), f"local dimension {d}")
-    return d
-
-
 def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
@@ -285,107 +265,79 @@ def _parse_float(token: str, what: str) -> float:
         raise InvalidInputError(f"bad {what} {token!r}: expected a number") from None
 
 
-def _dims_text(dims) -> str:
-    return "x".join(str(d) for d in dims)
+def _parse_lower(token: str, what: str) -> str:
+    return token.lower()
 
 
-# family -> (min params, max params, parse, generate, canonical text, help)
-_FAMILIES = {}
+def _parse_dims(token: str, what: str) -> tuple[int, ...]:
+    if not _DIMS_RE.match(token):
+        raise InvalidInputError(f"bad {what} {token!r}: expected e.g. 2x2 or 2x3x2")
+    dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
+    check_dimension(dims, f"{what} {token!r}")
+    return dims
 
 
-def _family(name, min_p, max_p, parse, build, text, help_text):
-    _FAMILIES[name] = (min_p, max_p, parse, build, text, help_text)
+def _parse_qubits(token: str, what: str) -> int:
+    n = _parse_int(token, what)
+    check_dimension((2 for _ in range(n)), f"{n} qubits")  # never forms 2^n
+    return n
 
 
-_family(
-    "bell", 1, 1,
-    lambda toks, seed: (toks[0].lower(),),
-    lambda p: bell_state(p[0]),
-    lambda p: f"bell:{p[0]}",
-    "bell:phi+|phi-|psi+|psi-",
-)
-_family(
-    "ghz", 1, 1,
-    lambda toks, seed: (_parse_qubits(toks[0]),),
-    lambda p: ghz_state(p[0]),
-    lambda p: f"ghz:{p[0]}",
-    "ghz:N (N qubits)",
-)
-_family(
-    "w", 1, 1,
-    lambda toks, seed: (_parse_qubits(toks[0]),),
-    lambda p: w_state(p[0]),
-    lambda p: f"w:{p[0]}",
-    "w:N (N qubits)",
-)
-_family(
-    "werner", 1, 1,
-    lambda toks, seed: (_parse_float(toks[0], "mixing parameter"),),
-    lambda p: werner_state(p[0]),
-    lambda p: f"werner:{p[0]!r}",
-    "werner:P (P in [0,1])",
-)
-_family(
-    "isotropic", 2, 2,
-    lambda toks, seed: (_parse_local_dim(toks[0]), _parse_float(toks[1], "fidelity")),
-    lambda p: isotropic_state(p[0], p[1]),
-    lambda p: f"isotropic:{p[0]},{p[1]!r}",
-    "isotropic:D,F (F in [0,1])",
-)
-_family(
-    "horodecki3x3", 1, 1,
-    lambda toks, seed: (_parse_float(toks[0], "parameter"),),
-    lambda p: horodecki_3x3(p[0]),
-    lambda p: f"horodecki3x3:{p[0]!r}",
-    "horodecki3x3:A (A in [0,1])",
-)
-_family(
-    "horodecki2x4", 1, 1,
-    lambda toks, seed: (_parse_float(toks[0], "parameter"),),
-    lambda p: horodecki_2x4(p[0]),
-    lambda p: f"horodecki2x4:{p[0]!r}",
-    "horodecki2x4:B (B in [0,1])",
-)
-_family(
-    "maxmixed", 1, 1,
-    lambda toks, seed: (_parse_dims(toks[0]),),
-    lambda p: max_mixed(p[0]),
-    lambda p: f"maxmixed:{_dims_text(p[0])}",
-    "maxmixed:DIMS (e.g. maxmixed:2x2)",
-)
-_family(
-    "productrandom", 1, 2,
-    lambda toks, seed: (_parse_dims(toks[0]),
-                        _parse_int(toks[1], "seed") if len(toks) > 1 else seed),
-    lambda p: random_product_state(p[0], p[1]),
-    lambda p: f"productrandom:{_dims_text(p[0])},{p[1]}",
-    "productrandom:DIMS[,SEED]",
-)
-_family(
-    "sepmix", 2, 3,
-    lambda toks, seed: (_parse_dims(toks[0]), _parse_int(toks[1], "term count"),
-                        _parse_int(toks[2], "seed") if len(toks) > 2 else seed),
-    lambda p: separable_mixture(p[0], p[1], p[2]),
-    lambda p: f"sepmix:{_dims_text(p[0])},{p[1]},{p[2]}",
-    "sepmix:DIMS,TERMS[,SEED]",
-)
-_family(
-    "randomdm", 2, 3,
-    lambda toks, seed: (_parse_dims(toks[0]), _parse_int(toks[1], "rank"),
-                        _parse_int(toks[2], "seed") if len(toks) > 2 else seed),
-    lambda p: random_density(p[0], p[1], p[2]),
-    lambda p: f"randomdm:{_dims_text(p[0])},{p[1]},{p[2]}",
-    "randomdm:DIMS,RANK[,SEED]",
-)
+def _parse_local_dim(token: str, what: str) -> int:
+    d = _parse_int(token, what)
+    check_dimension((d, d), f"{what} {d}")
+    return d
 
 
-# Families whose last parameter is a free real one that scan-family can
-# sweep: family -> number of fixed parameters before it.
-SWEEPABLE = {"werner": 0, "isotropic": 1, "horodecki3x3": 0, "horodecki2x4": 0}
+def _parse_count(token: str, what: str) -> int:
+    n = _parse_int(token, what)
+    check_count(n, what)
+    return n
+
+
+_DIMS = (_parse_dims, "dims")
+_SEED = (_parse_int, "seed")
+
+# family -> (generator, its parameters in call order as (parser, name), usage).
+# A trailing seed may be omitted; it then falls back to the default seed.
+_FAMILIES = {
+    "bell": (bell_state, ((_parse_lower, "kind"),), "bell:phi+|phi-|psi+|psi-"),
+    "ghz": (ghz_state, ((_parse_qubits, "qubit count"),), "ghz:N (N qubits)"),
+    "w": (w_state, ((_parse_qubits, "qubit count"),), "w:N (N qubits)"),
+    "werner": (werner_state, ((_parse_float, "mixing parameter"),),
+               "werner:P (P in [0,1])"),
+    "isotropic": (isotropic_state,
+                  ((_parse_local_dim, "local dimension"), (_parse_float, "fidelity")),
+                  "isotropic:D,F (F in [0,1])"),
+    "horodecki3x3": (horodecki_3x3, ((_parse_float, "parameter"),),
+                     "horodecki3x3:A (A in [0,1])"),
+    "horodecki2x4": (horodecki_2x4, ((_parse_float, "parameter"),),
+                     "horodecki2x4:B (B in [0,1])"),
+    "maxmixed": (max_mixed, (_DIMS,), "maxmixed:DIMS (e.g. maxmixed:2x2)"),
+    "productrandom": (random_product_state, (_DIMS, _SEED), "productrandom:DIMS[,SEED]"),
+    "sepmix": (separable_mixture, (_DIMS, (_parse_count, "term count"), _SEED),
+               "sepmix:DIMS,TERMS[,SEED]"),
+    "randomdm": (random_density, (_DIMS, (_parse_int, "rank"), _SEED),
+                 "randomdm:DIMS,RANK[,SEED]"),
+}
+
+# Families whose last parameter is real: scan-family sweeps it.
+_SWEEPABLE = sorted(
+    family for family, (_, params, _) in _FAMILIES.items() if params[-1][0] is _parse_float
+)
 
 
 def family_help() -> str:
-    return "; ".join(entry[5] for entry in _FAMILIES.values())
+    return "; ".join(usage for _, _, usage in _FAMILIES.values())
+
+
+def _split_spec(text: str) -> tuple[str, list[str]]:
+    family, _, rest = text.strip().partition(":")
+    return family.strip().lower(), [t.strip() for t in rest.split(",")] if rest.strip() else []
+
+
+def _parse_params(params, tokens) -> tuple:
+    return tuple(parse(token, what) for (parse, what), token in zip(params, tokens))
 
 
 def parse_state_spec(text: str, default_seed: int = 0) -> StateSpec:
@@ -394,31 +346,60 @@ def parse_state_spec(text: str, default_seed: int = 0) -> StateSpec:
     Seeded families fall back to ``default_seed`` when the trailing seed is
     omitted, keeping generation deterministic either way.
     """
-    text = text.strip()
-    family, _, rest = text.partition(":")
-    family = family.strip().lower()
+    family, tokens = _split_spec(text)
     if family not in _FAMILIES:
         raise InvalidInputError(
             f"unknown state family {family!r}; known specs: {family_help()}"
         )
-    min_p, max_p, parse, _, _, help_text = _FAMILIES[family]
-    tokens = [t.strip() for t in rest.split(",")] if rest.strip() else []
+    _, params, usage = _FAMILIES[family]
+    max_p = len(params)
+    min_p = max_p - (params[-1] is _SEED)
     if not min_p <= len(tokens) <= max_p:
         raise InvalidInputError(
             f"{family} takes {min_p}"
             + (f"-{max_p}" if max_p != min_p else "")
-            + f" parameter(s), got {len(tokens)} (usage: {help_text})"
+            + f" parameter(s), got {len(tokens)} (usage: {usage})"
         )
-    return StateSpec(family, parse(tokens, int(default_seed)))
+    seed = (int(default_seed),) * (max_p - len(tokens))
+    return StateSpec(family, _parse_params(params, tokens) + seed)
+
+
+def parse_sweep(text: str) -> tuple[str, tuple, str]:
+    """Parse a family spec with its trailing real parameter omitted.
+
+    Returns the family, its fixed parameters and the description the sweep
+    report prints; ``StateSpec(family, fixed + (value,))`` is the state at
+    ``value``.
+    """
+    family, tokens = _split_spec(text)
+    tokens = [t for t in tokens if t]
+    if family not in _SWEEPABLE:
+        raise InvalidInputError(
+            f"family {family!r} cannot be swept; families with one free real "
+            f"parameter: {', '.join(_SWEEPABLE)}"
+        )
+    fixed_params = _FAMILIES[family][1][:-1]
+    if len(tokens) != len(fixed_params):
+        raise InvalidInputError(
+            f"{family} needs {len(fixed_params)} fixed parameter(s) before the "
+            f"swept one, got {len(tokens)}"
+        )
+    fixed = _parse_params(fixed_params, tokens)
+    return family, fixed, f"{family}:{','.join(tokens)}" if tokens else family
+
+
+def _value_text(value) -> str:
+    # dims as 2x3; str(float) is its shortest round-tripping repr
+    return "x".join(str(d) for d in value) if isinstance(value, tuple) else str(value)
 
 
 def spec_text(spec: StateSpec) -> str:
     """Canonical text form of a spec (seeds resolved, numbers normalized)."""
-    return _FAMILIES[spec.family][4](spec.params)
+    return f"{spec.family}:{','.join(_value_text(v) for v in spec.params)}"
 
 
 def generate(spec, default_seed: int = 0) -> DensityMatrix:
     """Generate the density matrix described by a spec or spec text."""
     if isinstance(spec, str):
         spec = parse_state_spec(spec, default_seed=default_seed)
-    return _FAMILIES[spec.family][3](spec.params)
+    return _FAMILIES[spec.family][0](*spec.params)

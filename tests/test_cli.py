@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entscan
-from entscan import cli, generate
+from entscan import cli, generate, states
 from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
 
@@ -227,6 +227,15 @@ class TestNorms:
         assert code == 1
         assert "subsystem" in err
 
+    @pytest.mark.parametrize("labels", ["", "cA,rB"])
+    def test_non_state_exits_1(self, capsys, tmp_path, labels):
+        # analyze refuses this file too: trace norm 1 + 2e-9 at mask 0
+        path = TestAnalyze._diag_file(tmp_path, 1e-9)
+        code, out, err = run(capsys, "norms", path, labels)
+        assert code == 1
+        assert out == ""
+        assert "not a state" in err
+
     @pytest.mark.parametrize("labels", ["r\u00df", "c\ufb01"])
     def test_non_ascii_label_exits_1(self, capsys, labels):
         # upper-cased, these letters become two characters ("SS", "FI")
@@ -266,6 +275,10 @@ class TestScanFamily:
         code, _, err = run(capsys, "scan-family", "ghz", "--min", "0", "--max", "1")
         assert code == 1
         assert "cannot be swept" in err
+        assert err.endswith(
+            "families with one free real parameter: "
+            "horodecki2x4, horodecki3x3, isotropic, werner\n"
+        )
 
     def test_missing_fixed_parameter_rejected(self, capsys):
         code, _, err = run(capsys, "scan-family", "isotropic", "--min", "0", "--max", "1")
@@ -289,6 +302,35 @@ class TestScanFamily:
             width, steps = width / 2, steps + 1
         # grid points plus bisection steps, with no extra scan at the end
         assert len(scans) == report["grid_points"] + steps == 33 + 15
+
+    def test_grid_points_are_built_without_spec_text(self, capsys, monkeypatch):
+        calls = {"generate": 0, "parse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "generate", counted("generate", cli.generate))
+        monkeypatch.setattr(cli, "parse_state_spec", counted("parse", cli.parse_state_spec))
+        monkeypatch.setattr(states, "parse_state_spec", counted("parse", states.parse_state_spec))
+        code, _, _ = run(capsys, "scan-family", "werner", "--min", "0", "--max", "1")
+        assert code == 0
+        # one state per grid point and bisection step, none parsed from text
+        assert calls == {"generate": 33 + 15, "parse": 0}
+
+    @pytest.mark.parametrize("grid", ["4097", "1000000000000"])
+    def test_grid_over_the_budget_exits_before_scanning(self, capsys, monkeypatch, grid):
+        scans = []
+        monkeypatch.setattr(cli, "gpt_scan", lambda *args, **kwargs: scans.append(args))
+        code, out, err = run(
+            capsys, "scan-family", "werner", "--min", "0", "--max", "1", "--grid", grid
+        )
+        assert code == 1
+        assert out == ""
+        assert f"grid point count {grid} exceeds the limit 4096" in err
+        assert scans == []
 
     def test_bad_range_rejected(self, capsys):
         code, _, err = run(capsys, "scan-family", "werner", "--min", "1", "--max", "0")

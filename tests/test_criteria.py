@@ -79,6 +79,19 @@ class TestPptCriterion:
         assert len(ppt_criterion(ghz_state(3))) == 3
         assert len(ppt_criterion(max_mixed((2,)))) == 0
 
+    def test_near_threshold_row_follows_the_scan_rule(self):
+        # min eig -6e-10 is inside PSD_TOL, but the trace norm 1 + 1.2e-9 is
+        # past 1 + NORM_TOL: the PPT row violates, like the scan's row for it
+        rho = werner_state(0.3333333341333333)
+        (res,) = ppt_criterion(rho)
+        assert -1e-9 < res.min_eigenvalue < 0.0
+        assert res.trace_norm > 1.0 + NORM_TOL
+        assert res.violating
+        report = build_analyze_report(rho, "", False, dedupe=True)
+        assert report["ppt"]["results"][0]["violating"]
+        assert report["scan"]["results"][3]["violating"]
+        assert report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value
+
 
 class TestRealignmentCriterion:
     def test_bell(self):
@@ -321,6 +334,17 @@ class TestMaskEngine:
             got = generalized_transpose(rho, mask)
             assert got.shape == expected.shape, (dims, mask)
             assert np.array_equal(got, expected), (dims, mask)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 3, 2)])
+    def test_lookup_reads_every_mask(self, dims):
+        # a mask dedupe dropped is read from its complement's row
+        rho = random_density(dims, seed=11)
+        scan = gpt_scan(rho)
+        for mask in range(1 << (2 * len(dims))):
+            res = scan.lookup(mask)
+            assert res.mask == mask
+            assert res.shape == generalized_transpose(rho, mask).shape
+            assert abs(res.trace_norm - evaluate_subset(rho, mask).trace_norm) <= 1e-12
 
     @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from math import prod
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,11 +19,12 @@ from entscan import (
     parse_label_set,
     parse_state_spec,
     singular_values,
+    spec_text,
     trace_norm,
     vec,
 )
 from entscan.cli import load_matrix_file
-from entscan.states import _FAMILIES
+from entscan.states import _FAMILIES, BELL_KINDS, StateSpec
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -121,6 +123,40 @@ def test_state_spec_parses_or_raises_invalid_input(family, text):
         parse_state_spec(family + text)
     except InvalidInputError:
         pass
+
+
+_dims = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+_unit = st.floats(0.0, 1.0)
+_seed = st.integers(0, 2**63)
+
+# valid parameters of every family, in call order
+_VALID_PARAMS = {
+    "bell": st.tuples(st.sampled_from(BELL_KINDS)),
+    "ghz": st.tuples(st.integers(2, 12)),
+    "w": st.tuples(st.integers(2, 12)),
+    "werner": st.tuples(_unit),
+    "isotropic": st.tuples(st.integers(2, 64), _unit),
+    "horodecki3x3": st.tuples(_unit),
+    "horodecki2x4": st.tuples(_unit),
+    "maxmixed": st.tuples(_dims),
+    "productrandom": st.tuples(_dims, _seed),
+    "sepmix": st.tuples(_dims, st.integers(1, 4096), _seed),
+    "randomdm": _dims.flatmap(lambda d: st.tuples(st.just(d), st.integers(1, prod(d)), _seed)),
+}
+
+
+def test_round_trip_covers_every_family():
+    assert set(_VALID_PARAMS) == set(_FAMILIES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(_VALID_PARAMS)).flatmap(
+        lambda family: _VALID_PARAMS[family].map(lambda params: StateSpec(family, params))
+    )
+)
+def test_spec_text_round_trips(spec):
+    assert parse_state_spec(spec_text(spec)) == spec
 
 
 def _load_bytes(content: bytes):

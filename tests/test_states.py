@@ -266,6 +266,12 @@ class TestSpecText:
         with pytest.raises(InvalidInputError, match="D exceeds the dimension limit 4096"):
             parse_state_spec(smallest_over)
 
+    def test_term_count_budget_is_checked_at_parse(self):
+        # parsing only: neither mixture is built
+        assert parse_state_spec("sepmix:2x2,4096,1").params == ((2, 2), 4096, 1)
+        with pytest.raises(InvalidInputError, match="term count 4097 exceeds the limit 4096"):
+            parse_state_spec("sepmix:2x2,4097,1")
+
     def test_huge_sizes_are_rejected_without_computing_them(self):
         for text in ("ghz:" + "9" * 4000, "maxmixed:" + "x".join(["9" * 4000] * 3)):
             with pytest.raises(InvalidInputError, match="dimension limit"):
