@@ -28,15 +28,15 @@ from . import __version__
 from .criteria import (
     NORM_TOL,
     Verdict,
+    _solver,
     bipartite_cuts,
-    evaluate_subset,
     gpt_scan,
     state_row,
 )
 
-# The report reads these criteria from the scan; kept in this namespace for
-# callers and tracing tools that look them up here.
-from .criteria import ppt_criterion, realignment_criterion  # noqa: F401
+# The report reads these from the scan; kept in this namespace for callers
+# and tracing tools that look them up here.
+from .criteria import evaluate_subset, ppt_criterion, realignment_criterion  # noqa: F401
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     HERM_TOL_SCALE,
@@ -132,9 +132,12 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None)
         data["name"] = name
     if description is not None:
         data["description"] = description
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_input(text: str, normalize: bool, seed: int):
@@ -351,8 +354,8 @@ def cmd_norms(args) -> int:
     rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
     mask = parse_label_set(args.labels, len(rho.dims))
     own = state_row(rho)  # refuses a non-state, as analyze does
-    res = own if mask == 0 else evaluate_subset(rho, mask)
-    report = _subset_dict(res)
+    # read from the class representative, like the scan: the analyze row bitwise
+    report = _subset_dict(_solver(rho, own)(mask))
     _emit(report, args.format, render_human_norms)
     return 0
 

@@ -7,12 +7,18 @@ verdict is UNDETECTED.
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
-from .reshape import enumerate_label_subsets, format_label_set, generalized_transpose
+from .reshape import (
+    enumerate_label_subsets,
+    format_label_set,
+    generalized_transpose,
+    transpose_shape,
+)
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -46,11 +52,13 @@ class SubsetResult:
     def label_text(self) -> str:
         return format_label_set(self.mask, self.n)
 
-    def as_mask(self, mask: int) -> "SubsetResult":
-        """This row read as ``mask``, its own mask or its complement. The
-        complement's transpose is the transpose of this row's matrix: same
-        values, reversed shape."""
-        return self if mask == self.mask else replace(self, mask=mask, shape=self.shape[::-1])
+    def as_mask(self, mask: int, dims: tuple[int, ...]) -> "SubsetResult":
+        """This row read as ``mask``, any member of its symmetry class (see
+        :func:`_representative`): the solved values bitwise, the shape of
+        ``mask``'s own transpose."""
+        if mask == self.mask:
+            return self
+        return replace(self, mask=mask, shape=transpose_shape(dims, mask))
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,10 @@ class CriterionReport:
         )
 
     def lookup(self, mask: int) -> SubsetResult:
-        """The result for ``mask``, read from its complement's row when
-        dedupe dropped ``mask``."""
-        # results index by mask: dedupe keeps exactly the masks below 2^(2n-1)
-        return self.results[_representative(mask, len(self.dims))].as_mask(mask)
+        """The result for ``mask``, read from its class representative's row."""
+        # results index by mask: dedupe keeps exactly the masks below
+        # 2^(2n-1), and every representative is one of them
+        return self.results[_representative(mask, len(self.dims))].as_mask(mask, self.dims)
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
@@ -135,15 +143,36 @@ def _negativity(pt_norm: float) -> float:
 
 
 def _representative(mask: int, n: int) -> int:
-    """The one of ``mask`` and its complement that a deduped scan keeps."""
-    return min(mask, ((1 << (2 * n)) - 1) ^ mask)
+    """The smallest mask of the symmetry class {M, comp M, swap M, comp swap M}
+    of ``mask`` = M, the one a deduped scan solves for the whole class.
+
+    ``swap`` exchanges r_k and c_k of every subsystem. The complement's
+    transpose is the transpose of M's matrix. For Hermitian rho,
+    rho^T = conj(rho); the M transpose of rho^T is, up to row and column
+    order, the comp swap M transpose of rho, and conjugation keeps singular
+    values. So all four share one singular spectrum. DensityMatrix holds rho
+    bitwise Hermitian, so this is exact, not approximate.
+    """
+    full = (1 << (2 * n)) - 1
+    r_bits = full // 3
+    swapped = ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
+    return min(mask, full ^ mask, swapped, full ^ swapped)
 
 
-def _solver(rho: DensityMatrix):
-    """``mask -> SubsetResult`` evaluating the subset the scan would hold for
-    ``mask``, so standalone criteria match the scan's values bitwise."""
+def _solver(rho: DensityMatrix, *solved: SubsetResult):
+    """``mask -> SubsetResult`` reading ``mask`` from its class
+    representative, solved on first use (``solved`` rows are reused), so the
+    scan, standalone criteria and ``norms`` agree bitwise."""
     n = len(rho.dims)
-    return lambda mask: evaluate_subset(rho, _representative(mask, n)).as_mask(mask)
+    rows = {res.mask: res for res in solved}
+
+    def result_for(mask: int) -> SubsetResult:
+        rep = _representative(mask, n)
+        if rep not in rows:
+            rows[rep] = evaluate_subset(rho, rep)
+        return rows[rep].as_mask(mask, rho.dims)
+
+    return result_for
 
 
 def _ppt_rows(result_for, n: int) -> list[SubsetResult]:
@@ -226,14 +255,21 @@ def state_row(rho: DensityMatrix) -> SubsetResult:
 
 
 def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
-    """Evaluate every enumerated label subset once and assemble the verdict.
+    """Evaluate every enumerated label subset and assemble the verdict.
+
+    With ``dedupe`` the rows are one mask of each complement pair, and each
+    symmetry class (see :func:`_representative`) is solved once, at its
+    representative; the other rows read its values bitwise. Without it all
+    2^(2n) masks are listed and each is solved on its own.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Refuses input
     that is not a state, through :func:`state_row`, before solving the rest.
     """
     masks = enumerate_label_subsets(len(rho.dims), dedupe=dedupe)
-    results = (state_row(rho), *(evaluate_subset(rho, mask) for mask in masks[1:]))
+    own = state_row(rho)
+    result_for = _solver(rho, own) if dedupe else partial(evaluate_subset, rho)
+    results = (own, *map(result_for, masks[1:]))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     violating = any(res.violating for res in results)
     # Below the violation threshold the measure is exactly zero: rounding can

@@ -10,7 +10,7 @@ Conventions used throughout the package:
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -112,7 +112,8 @@ def singular_values(a) -> np.ndarray:
     """Singular values in decreasing order (read-only float array)."""
     arr = as_matrix(a)
     try:
-        s = np.linalg.svd(arr, compute_uv=False)
+        # a and a^T share singular values; LAPACK is faster on the tall one
+        s = np.linalg.svd(arr.T if arr.shape[0] < arr.shape[1] else arr, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for {matrix_fingerprint(arr)}") from exc
     s = np.maximum(s, 0.0)
@@ -130,13 +131,17 @@ class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
     Construction checks hermiticity (within ``HERM_TOL_SCALE * max(1, fro)``)
-    and unit trace (within ``TRACE_TOL``). Positivity is *not* enforced here:
-    states read from files often carry rounding-scale negative eigenvalues,
-    so the PSD check is on demand via :meth:`validate_psd`.
+    and unit trace (within ``TRACE_TOL``) of the input, then stores its
+    Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
+    symmetries are exact on it. :meth:`hermiticity_residual` still reports
+    the input's residual. Positivity is *not* enforced here: states read from
+    files often carry rounding-scale negative eigenvalues, so the PSD check
+    is on demand via :meth:`validate_psd`.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    _residual: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = as_matrix(self.mat, "density matrix")
@@ -161,8 +166,9 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}"
             )
-        object.__setattr__(self, "mat", _freeze(mat))
+        object.__setattr__(self, "mat", _freeze((mat + mat.conj().T) / 2))
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_residual", residual)
 
     @property
     def dim(self) -> int:
@@ -172,7 +178,8 @@ class DensityMatrix:
         return complex(self.mat.trace())
 
     def hermiticity_residual(self) -> float:
-        return float(np.abs(self.mat - self.mat.conj().T).max())
+        """max |m - m^dag| of the input matrix; the stored one has none."""
+        return self._residual
 
     def purity(self) -> float:
         """tr(rho^2); equals the squared Frobenius norm for Hermitian input."""

@@ -92,9 +92,19 @@ def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
         # c varies slower than r when both labels of a subsystem share a side
         (rows if mask >> (2 * k + 1) & 1 else cols).append(n + k)
         (cols if mask >> (2 * k) & 1 else rows).append(k)
-    return _relabel(
-        rho, rows + cols, (prod(dims[a % n] for a in rows), prod(dims[a % n] for a in cols))
-    )
+    return _relabel(rho, rows + cols, transpose_shape(dims, mask))
+
+
+def transpose_shape(dims, mask: int) -> tuple[int, int]:
+    """Shape of ``generalized_transpose`` for ``mask``: every label on the row
+    side (r_k unflipped, c_k flipped) multiplies the rows by d_k, every other
+    label the columns."""
+    rows = cols = 1
+    for k, d in enumerate(dims):
+        on_rows = (not mask >> (2 * k) & 1) + (mask >> (2 * k + 1) & 1)
+        rows *= d**on_rows
+        cols *= d ** (2 - on_rows)
+    return rows, cols
 
 
 def realign(rho: DensityMatrix) -> np.ndarray:

@@ -295,8 +295,19 @@ def _parse_count(token: str, what: str) -> int:
     return n
 
 
+def _check_seed(seed: int, what: str) -> int:
+    # numpy's default_rng takes only non-negative seeds
+    if seed < 0:
+        raise InvalidInputError(f"bad {what} {seed}: must be a non-negative integer")
+    return seed
+
+
+def _parse_seed(token: str, what: str) -> int:
+    return _check_seed(_parse_int(token, what), what)
+
+
 _DIMS = (_parse_dims, "dims")
-_SEED = (_parse_int, "seed")
+_SEED = (_parse_seed, "seed")
 
 # family -> (generator, its parameters in call order as (parser, name), usage).
 # A trailing seed may be omitted; it then falls back to the default seed.
@@ -360,7 +371,8 @@ def parse_state_spec(text: str, default_seed: int = 0) -> StateSpec:
             + (f"-{max_p}" if max_p != min_p else "")
             + f" parameter(s), got {len(tokens)} (usage: {usage})"
         )
-    seed = (int(default_seed),) * (max_p - len(tokens))
+    # only a trailing seed can be missing; checked only when it is filled in
+    seed = (_check_seed(int(default_seed), "default seed"),) if len(tokens) < max_p else ()
     return StateSpec(family, _parse_params(params, tokens) + seed)
 
 

@@ -113,6 +113,28 @@ class TestAnalyze:
         assert code == 0
         assert "verdict: UNDETECTED" in out
 
+    def test_anti_hermitian_part_is_reported_and_dropped(self, capsys, tmp_path):
+        # the scan runs on (m + m^dag) / 2; the input's residual is reported
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        noisy = generate("randomdm:2x2x2,8,5").mat + 0.5e-12 * (noise - noise.conj().T)
+        herm = (noisy + noisy.conj().T) / 2
+        reports = []
+        for name, mat in (("noisy", noisy), ("herm", herm)):
+            path = tmp_path / f"{name}.json"
+            cells = [[[v.real, v.imag] for v in row] for row in mat]
+            path.write_text(json.dumps({"dims": [2, 2, 2], "matrix": cells}))
+            code, report, _ = run_json(capsys, "analyze", str(path))
+            assert code == 3
+            reports.append(report)
+        noisy_report, herm_report = reports
+        assert noisy_report["input"]["hermiticity_residual"] == float(
+            np.abs(noisy - noisy.conj().T).max()
+        ) > 1e-13
+        assert herm_report["input"]["hermiticity_residual"] == 0.0
+        assert noisy_report["scan"] == herm_report["scan"]
+        assert noisy_report["verdict"] == herm_report["verdict"]
+
     def test_oversized_spec_exits_1_before_allocating(self, capsys):
         code, out, err = run(capsys, "analyze", "ghz:40")
         assert code == 1
@@ -221,6 +243,20 @@ class TestNorms:
         code, report, _ = run_json(capsys, "norms", "werner:0.9", "rA,cA,rB,cB")
         assert code == 0
         assert abs(report["trace_norm"] - 1.0) < 1e-9
+
+    def test_every_mask_equals_its_analyze_row(self, capsys):
+        # norms reads the scan's class representative, so it agrees bitwise
+        spec = "randomdm:2x2x2,8,3"
+        _, analyze, _ = run_json(capsys, "analyze", spec)
+        rows = analyze["scan"]["results"]
+        scan = entscan.gpt_scan(generate(spec))
+        for mask in range(64):
+            labels = entscan.format_label_set(mask, 3)
+            code, report, _ = run_json(capsys, "norms", spec, labels)
+            assert code == 0
+            assert report == cli._subset_dict(scan.lookup(mask))
+            if mask < len(rows):
+                assert report == rows[mask]
 
     def test_unknown_label_exits_1(self, capsys):
         code, _, err = run(capsys, "norms", "bell:psi-", "rC")
@@ -444,6 +480,29 @@ class TestArgumentHandling:
         _, explicit, _ = run_json(capsys, "analyze", "sepmix:2x2,3,5")
         assert with_flag == explicit
         assert with_flag["input"]["name"] == "sepmix:2x2,3,5"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "productrandom:2x2,-1"],
+            ["analyze", "randomdm:2x2,2,-1"],
+            ["analyze", "sepmix:2x2,3,-5"],
+            ["analyze", "productrandom:2x2", "--seed", "-1"],
+            ["norms", "randomdm:2x2,2", "cA", "--seed", "-3"],
+            ["generate", "sepmix:2x2,3", "never-written.json", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "must be a non-negative integer" in err
+        assert not os.path.exists("never-written.json")
+
+    def test_unused_negative_seed_flag_is_ignored(self, capsys):
+        # only a seed that is filled in is checked
+        assert run(capsys, "analyze", "productrandom:2x2,4", "--seed", "-1")[0] == 0
+        assert run(capsys, "analyze", "bell:psi-", "--seed", "-1")[0] == 3
 
     @pytest.mark.parametrize(
         "argv",

@@ -29,6 +29,7 @@ from entscan import (
     werner_state,
 )
 from entscan.cli import build_analyze_report
+from entscan.criteria import _representative
 from entscan.linalg import TRACE_TOL
 
 from reference import (
@@ -330,14 +331,15 @@ class TestMaskEngine:
         mat = random_state(int(np.prod(dims)), np.random.default_rng(sum(dims)))
         rho = DensityMatrix(mat, dims)
         for mask, flips in all_flip_sets(len(dims)):
-            expected = naive_generalized_transpose(mat, dims, flips)
+            # the engine holds the Hermitian part of the input
+            expected = naive_generalized_transpose(rho.mat, dims, flips)
             got = generalized_transpose(rho, mask)
             assert got.shape == expected.shape, (dims, mask)
             assert np.array_equal(got, expected), (dims, mask)
 
     @pytest.mark.parametrize("dims", [(2, 3), (2, 3, 2)])
     def test_lookup_reads_every_mask(self, dims):
-        # a mask dedupe dropped is read from its complement's row
+        # every mask, listed or not, is read from its class representative's row
         rho = random_density(dims, seed=11)
         scan = gpt_scan(rho)
         for mask in range(1 << (2 * len(dims))):
@@ -380,20 +382,90 @@ class TestMaskEngine:
 
     @pytest.mark.parametrize("dedupe", [True, False])
     def test_analyze_solves_each_subset_once(self, monkeypatch, dedupe):
-        calls = []
-
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+        calls = count_solver_calls(monkeypatch)
         rho = random_density((2, 3, 2), seed=8)
         report = build_analyze_report(rho, "", False, dedupe=dedupe)
         assert report["scan"]["subsets_evaluated"] == (32 if dedupe else 64)
-        assert len(calls) == report["scan"]["subsets_evaluated"]
+        # dedupe solves each symmetry class once; --no-dedupe every mask
+        assert len(calls) == (class_count(3) if dedupe else 64)
+        # partial transpositions are their own representatives: all solved
         assert calls.count("eigvalsh") == sum(
             row["hermitian_case"] for row in report["scan"]["results"]
         )
+
+
+def count_solver_calls(monkeypatch) -> list:
+    """Record the name of every SVD and eigvalsh call from now on."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    return calls
+
+
+def class_count(n: int) -> int:
+    """Orbits of the complement and swap symmetries on 2n-bit masks (Burnside)."""
+    return (4**n + 2 * 2**n) // 4
+
+
+def swap_labels(mask: int, n: int) -> int:
+    """Exchange r_k and c_k of every subsystem, bit by bit."""
+    out = 0
+    for k in range(n):
+        out |= (mask >> (2 * k) & 1) << (2 * k + 1) | (mask >> (2 * k + 1) & 1) << (2 * k)
+    return out
+
+
+class TestSymmetryClasses:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_class_count_by_enumeration(self, n):
+        full = (1 << (2 * n)) - 1
+        classes = {
+            frozenset((m, full ^ m, swap_labels(m, n), full ^ swap_labels(m, n)))
+            for m in range(full + 1)
+        }
+        assert len(classes) == class_count(n)
+        # the representative is the smallest member, and a deduped row
+        assert sorted(min(c) for c in classes) == sorted(
+            {_representative(m, n) for m in range(full + 1)}
+        )
+        assert all(min(c) < 1 << (2 * n - 1) for c in classes)
+
+    @pytest.mark.parametrize(
+        "dims", [(2,), (2, 2), (2, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]
+    )
+    def test_scan_solves_each_class_once(self, monkeypatch, dims):
+        rho = random_density(dims, seed=len(dims))
+        calls = count_solver_calls(monkeypatch)
+        scan = gpt_scan(rho)
+        assert len(scan.results) == 1 << (2 * len(dims) - 1)
+        assert len(calls) == class_count(len(dims))
+        # every partial transposition is still solved by eigvalsh
+        assert calls.count("eigvalsh") == sum(r.is_hermitian_case for r in scan.results)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
+    def test_rows_read_their_representative_bitwise(self, dims):
+        rho = random_density(dims, seed=sum(dims))
+        scan = gpt_scan(rho)
+        n = len(dims)
+        for row in scan.results:
+            rep = scan.results[_representative(row.mask, n)]
+            assert row.trace_norm == rep.trace_norm
+            assert row.violating == rep.violating
+            assert row.min_eigenvalue == rep.min_eigenvalue
+            assert row.is_hermitian_case == rep.is_hermitian_case
+            assert row.shape == generalized_transpose(rho, row.mask).shape
+
+    def test_stored_matrix_is_bitwise_hermitian(self):
+        rng = np.random.default_rng(12)
+        noise = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        mat = random_state(12, rng) + 1e-13 * (noise - noise.conj().T)  # anti-Hermitian
+        rho = DensityMatrix(mat, (2, 3, 2))
+        assert np.array_equal(rho.mat, rho.mat.conj().T)
+        assert rho.hermiticity_residual() == float(np.abs(mat - mat.conj().T).max()) > 0

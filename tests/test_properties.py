@@ -1,5 +1,7 @@
 """Property-based tests of the core linear-algebra invariants."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -15,6 +17,7 @@ from entscan import (
     InvalidInputError,
     enumerate_label_subsets,
     generalized_transpose,
+    gpt_scan,
     kron,
     parse_label_set,
     parse_state_spec,
@@ -23,8 +26,10 @@ from entscan import (
     trace_norm,
     vec,
 )
-from entscan.cli import load_matrix_file
+from entscan.cli import load_matrix_file, main
 from entscan.states import _FAMILIES, BELL_KINDS, StateSpec
+
+from reference import all_flip_sets, naive_generalized_transpose, naive_trace_norm, random_state
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -221,3 +226,109 @@ def test_matrix_file_bytes_load_or_raise_invalid_input(content):
 @given(doc=matrix_documents())
 def test_matrix_file_fields_load_or_raise_invalid_input(doc):
     _loads_or_raises_invalid_input(json.dumps(doc).encode())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+    full_rank=st.booleans(),
+)
+def test_every_deduped_row_matches_the_naive_oracle(dims, seed, full_rank):
+    # rows read from a class representative included; rank 1 makes many
+    # singular values zero, where symmetry-read rows are most exposed
+    mat = random_state(prod(dims), np.random.default_rng(seed), None if full_rank else 1)
+    scan = gpt_scan(DensityMatrix(mat, dims))
+    flips = dict(all_flip_sets(len(dims)))
+    assert [row.mask for row in scan.results] == list(enumerate_label_subsets(len(dims)))
+    for row in scan.results:
+        expected = naive_generalized_transpose(mat, dims, flips[row.mask])
+        assert row.shape == expected.shape
+        assert abs(row.trace_norm - naive_trace_norm(expected)) <= 1e-12
+
+
+# --- whole command lines ------------------------------------------------------
+
+# Tokens: valid small values, negatives, huge and non-finite values, and
+# non-ASCII digits. Valid sizes stay at most 4 per factor and 3 factors, so no
+# drawn command line builds a matrix beyond D = 64.
+_numbers = st.sampled_from([
+    "0", "1", "2", "3", "4", "-1", "-7", "0.5", "-0.25", "1e400", "nan", "-inf",
+    "1" + "0" * 40, "4097", "\u0663", "\uff12",
+])
+_seeds = st.sampled_from(["0", "7", "-1", "-9", "1" + "0" * 40, "\u0663", "s"])
+_counts = st.sampled_from(["1", "2", "3", "4", "2", "3", "0", "-1", "4097", "\u0662"])
+_dims_tokens = st.lists(_counts, min_size=1, max_size=3).map("x".join)
+# free text without decimal digits, so it never spells a large valid size
+_free_text = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=4)
+_tokens = st.one_of(_numbers, _dims_tokens, st.sampled_from(BELL_KINDS), _free_text)
+_param_tokens = {
+    "dims": _dims_tokens,
+    "seed": _seeds,
+    "rank": _counts,
+    "term count": _counts,
+    "qubit count": _counts,
+    "local dimension": _counts,
+    "kind": st.one_of(st.sampled_from(BELL_KINDS), _free_text),
+}
+
+
+@st.composite
+def _specs(draw):
+    """``family:`` and one token per parameter of the family's table row,
+    shaped for that parameter; sometimes one token short (seed or swept
+    value omitted) or one too many."""
+    family = draw(st.sampled_from(sorted(_FAMILIES) + ["nosuch"]))
+    params = _FAMILIES[family][1] if family in _FAMILIES else ()
+    tokens = [draw(_param_tokens.get(what, _numbers)) for _, what in params]
+    count = max(0, len(tokens) + draw(st.sampled_from([0, 0, -1, 1])))
+    return f"{family}:{','.join((tokens + [draw(_tokens)])[:count])}"
+
+
+_inputs = st.sampled_from(["", "", "", "<file>", "<dir>", "<missing>"]).flatmap(
+    lambda path: st.just(path) if path else _specs()
+)
+_labels = st.one_of(
+    st.sampled_from(["", "cA,rB", "rA,cA", "rA,cA,rB,cB", "rC", "cA,cA", "r\u00df"]), _free_text
+)
+_flags = st.lists(
+    st.one_of(
+        st.sampled_from([["--no-dedupe"], ["--normalize"], ["--help"], ["--version"]]),
+        st.tuples(st.just("--format"), st.sampled_from(["json", "human", "xml"])),
+        st.tuples(st.just("--seed"), _seeds),
+        st.tuples(st.sampled_from(["--grid", "--min", "--max"]), _numbers),
+    ).map(list),
+    max_size=3,
+)
+_positionals = {
+    "analyze": st.tuples(_inputs),
+    "norms": st.tuples(_inputs, _labels),
+    "scan-family": st.tuples(_specs(), st.just("--min"), _numbers, st.just("--max"), _numbers),
+    "generate": st.tuples(_specs(), st.sampled_from(["<file>", "<dir>", "<missing>"])),
+    "": st.tuples(),
+    "nosuch": st.tuples(_specs()),
+}
+_argvs = st.sampled_from(
+    ["analyze", "analyze", "norms", "norms", "scan-family", "generate", "", "nosuch"]
+).flatmap(
+    lambda command: st.builds(
+        lambda positionals, flags: [command] * bool(command) + list(positionals)
+        + [token for flag in flags for token in flag],
+        _positionals[command],
+        _flags,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs)
+def test_every_command_line_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "m.json"), "w", encoding="utf-8") as fh:
+            json.dump({"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}, fh)
+        where = {"<file>": "m.json", "<dir>": "", "<missing>": os.path.join("no", "m.json")}
+        argv = [os.path.join(tmp, where[a]) if a in where else a for a in argv]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, sink.getvalue())
