@@ -23,21 +23,13 @@ from .criteria import (
 )
 from .errors import EntscanError, InvalidInputError, NumericalError
 from .linalg import (
-    PSD_TOL,
     DensityMatrix,
-    conjugate,
-    dagger,
     density_matrix,
     kron,
-    partial_trace,
-    pure_separability_check,
     singular_values,
     trace_norm,
-    transpose,
-    vec,
 )
 from .reshape import (
-    cut_and_realign,
     enumerate_label_subsets,
     format_label_set,
     generalized_transpose,
@@ -54,10 +46,8 @@ from .states import (
     horodecki_3x3,
     isotropic_state,
     max_mixed,
-    mix,
     parse_state_spec,
     random_density,
-    random_local_unitary,
     random_product_state,
     separable_mixture,
     spec_text,
@@ -73,15 +63,11 @@ __all__ = [
     "InvalidInputError",
     "NORM_TOL",
     "NumericalError",
-    "PSD_TOL",
     "StateSpec",
     "SubsetResult",
     "Verdict",
     "bell_state",
     "bipartite_cuts",
-    "conjugate",
-    "cut_and_realign",
-    "dagger",
     "density_matrix",
     "enumerate_label_subsets",
     "evaluate_subset",
@@ -96,16 +82,12 @@ __all__ = [
     "kron",
     "max_mixed",
     "measure_e",
-    "mix",
     "negativity",
     "parse_label_set",
     "parse_state_spec",
-    "partial_trace",
     "partial_transpose",
     "ppt_criterion",
-    "pure_separability_check",
     "random_density",
-    "random_local_unitary",
     "random_product_state",
     "realign",
     "realignment_criterion",
@@ -113,8 +95,6 @@ __all__ = [
     "singular_values",
     "spec_text",
     "trace_norm",
-    "transpose",
-    "vec",
     "w_state",
     "werner_state",
 ]

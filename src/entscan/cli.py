@@ -10,7 +10,8 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
 a state and exits 1, in analyze and norms alike. Specs and files are held to
 D <= MAX_KRON_DIM, and mixture terms and scan-family grid points to at most
-MAX_KRON_DIM, before anything is allocated.
+MAX_KRON_DIM, before anything is allocated; analyze also refuses a spec
+beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before building it.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -41,17 +42,22 @@ from .errors import InvalidInputError, NumericalError
 from .linalg import (
     HERM_TOL_SCALE,
     NORMALIZE_MAX_DEV,
-    PSD_TOL,
-    PURITY_TOL,
-    RECON_TOL,
     TRACE_TOL,
     DensityMatrix,
     check_count,
     check_dimension,
     density_matrix,
 )
-from .reshape import format_label_set, parse_label_set, subsystem_letter
-from .states import StateSpec, family_help, generate, parse_state_spec, parse_sweep, spec_text
+from .reshape import check_scan_limit, format_label_set, parse_label_set, subsystem_letter
+from .states import (
+    StateSpec,
+    family_help,
+    generate,
+    parse_state_spec,
+    parse_sweep,
+    spec_text,
+    subsystem_count,
+)
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 
@@ -140,8 +146,12 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None)
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_input(text: str, normalize: bool, seed: int):
-    """Interpret ``text`` as an existing matrix file, else as a state spec."""
+def _resolve_input(text: str, normalize: bool, seed: int, scan: bool = False):
+    """Interpret ``text`` as an existing matrix file, else as a state spec.
+
+    With ``scan`` a spec beyond the scan limit is refused before its state
+    is built.
+    """
     import os
 
     if os.path.exists(text):
@@ -154,6 +164,8 @@ def _resolve_input(text: str, normalize: bool, seed: int):
         raise InvalidInputError(
             f"input {text!r} is neither an existing file nor a state spec ({exc})"
         ) from exc
+    if scan:
+        check_scan_limit(subsystem_count(spec))
     return generate(spec), spec_text(spec), False
 
 
@@ -163,12 +175,8 @@ def _tolerances() -> dict:
     return {
         "hermiticity_tol_scale": HERM_TOL_SCALE,
         "trace_tol": TRACE_TOL,
-        "psd_tol": PSD_TOL,
-        "purity_tol": PURITY_TOL,
-        "reconstruction_tol": RECON_TOL,
         "normalize_max_deviation": NORMALIZE_MAX_DEV,
         "norm_tol": NORM_TOL,
-        "param_tol": PARAM_TOL,
     }
 
 
@@ -262,8 +270,8 @@ def render_human_analyze(report: dict) -> str:
         lines.append("input was auto-normalized by its trace")
     tol = report["tolerances"]
     lines.append(
-        "tolerances: norm_tol {}  psd_tol {}  trace_tol {}".format(
-            _fmt(tol["norm_tol"]), _fmt(tol["psd_tol"]), _fmt(tol["trace_tol"])
+        "tolerances: norm_tol {}  trace_tol {}".format(
+            _fmt(tol["norm_tol"]), _fmt(tol["trace_tol"])
         )
     )
     lines.append("")
@@ -334,7 +342,7 @@ def _emit(report: dict, fmt: str, human_renderer) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    rho, name, normalized = _resolve_input(args.input, args.normalize, args.seed)
+    rho, name, normalized = _resolve_input(args.input, args.normalize, args.seed, scan=True)
     report = build_analyze_report(rho, name, normalized, dedupe=not args.no_dedupe)
     _emit(report, args.format, render_human_analyze)
     return 3 if report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value else 0

@@ -21,9 +21,6 @@ from .errors import InvalidInputError, NumericalError
 # hence the Frobenius scaling of the hermiticity check.
 HERM_TOL_SCALE = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-9
-PURITY_TOL = 1e-9
-RECON_TOL = 1e-9
 NORMALIZE_MAX_DEV = 1e-3
 
 # The one dimension budget: Kronecker products, parsed state specs and loaded
@@ -85,29 +82,6 @@ def kron(a, b) -> np.ndarray:
     return _freeze(np.kron(am, bm))
 
 
-def vec(a) -> np.ndarray:
-    """Column-stack a matrix into an (m*n, 1) column vector.
-
-    Ordering is [a_11, ..., a_m1, a_12, ..., a_m2, ..., a_mn]^T, i.e. the
-    first column first.
-    """
-    arr = as_matrix(a)
-    return _freeze(arr.reshape(-1, 1, order="F"))
-
-
-def transpose(a) -> np.ndarray:
-    return _freeze(as_matrix(a).T)
-
-
-def conjugate(a) -> np.ndarray:
-    return _freeze(as_matrix(a).conj())
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _freeze(as_matrix(a).conj().T)
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values in decreasing order (read-only float array)."""
     arr = as_matrix(a)
@@ -134,9 +108,10 @@ class DensityMatrix:
     and unit trace (within ``TRACE_TOL``) of the input, then stores its
     Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
     symmetries are exact on it. :meth:`hermiticity_residual` still reports
-    the input's residual. Positivity is *not* enforced here: states read from
-    files often carry rounding-scale negative eigenvalues, so the PSD check
-    is on demand via :meth:`validate_psd`.
+    the input's residual. Positivity is *not* checked here, since states read
+    from files often carry rounding-scale negative eigenvalues: the scan
+    judges it from its mask-0 row (``criteria.state_row``), which refuses
+    input whose trace norm exceeds 1 + ``NORM_TOL``.
     """
 
     mat: np.ndarray
@@ -181,26 +156,6 @@ class DensityMatrix:
         """max |m - m^dag| of the input matrix; the stored one has none."""
         return self._residual
 
-    def purity(self) -> float:
-        """tr(rho^2); equals the squared Frobenius norm for Hermitian input."""
-        return float(np.vdot(self.mat, self.mat).real)
-
-    def min_eigenvalue(self) -> float:
-        try:
-            return float(np.linalg.eigvalsh(self.mat).min())
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigensolver did not converge for {matrix_fingerprint(self.mat)}"
-            ) from exc
-
-    def validate_psd(self) -> None:
-        """Raise unless the minimum eigenvalue is at least ``-PSD_TOL``."""
-        low = self.min_eigenvalue()
-        if low < -PSD_TOL:
-            raise InvalidInputError(
-                f"matrix is not positive semidefinite: min eigenvalue {low:.3e} < -{PSD_TOL:g}"
-            )
-
 
 def density_matrix(mat, dims, normalize: bool = False) -> DensityMatrix:
     """Build a :class:`DensityMatrix`, optionally rescaling a near-unit trace.
@@ -220,43 +175,3 @@ def density_matrix(mat, dims, normalize: bool = False) -> DensityMatrix:
         if tr != 1.0:
             arr = arr / tr
     return DensityMatrix(arr, tuple(dims))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every subsystem not in ``keep``.
-
-    ``keep`` is a non-empty collection of 0-based subsystem indices; the
-    result's dims are the kept dimensions in ascending index order.
-    """
-    kept = sorted(set(int(k) for k in keep)) if not isinstance(keep, int) else [keep]
-    n = len(rho.dims)
-    if not kept:
-        raise InvalidInputError("keep must name at least one subsystem")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise InvalidInputError(f"keep indices {kept} out of range for {n} subsystems")
-    tensor = rho.mat.reshape(rho.dims + rho.dims)
-    row_axes = list(range(n))
-    col_axes = [k if k not in kept else n + k for k in range(n)]
-    out_axes = kept + [n + k for k in kept]
-    reduced = np.einsum(tensor, row_axes + col_axes, out_axes)
-    side = prod(rho.dims[k] for k in kept)
-    return DensityMatrix(reduced.reshape(side, side), tuple(rho.dims[k] for k in kept))
-
-
-def pure_separability_check(rho: DensityMatrix) -> bool:
-    """Decide separability of a *pure* state by reconstruction from marginals.
-
-    A pure state is separable exactly when it equals the tensor product of
-    its single-subsystem reduced matrices; we test that within ``RECON_TOL``
-    in Frobenius norm. Non-pure input (tr(rho^2) < 1 - ``PURITY_TOL``) is a
-    precondition failure.
-    """
-    purity = rho.purity()
-    if purity < 1.0 - PURITY_TOL:
-        raise InvalidInputError(
-            f"pure_separability_check requires a pure state: tr(rho^2) = {purity:.12g}"
-        )
-    recon = np.ones((1, 1), dtype=complex)
-    for k in range(len(rho.dims)):
-        recon = np.kron(recon, partial_trace(rho, [k]).mat)
-    return float(np.linalg.norm(rho.mat - recon)) <= RECON_TOL

@@ -14,8 +14,6 @@ come out with rows (m_11, m_21, m_12, m_22), (m_31, m_41, m_32, m_42), ...
 rather than some row/column permutation of that layout.
 """
 
-from math import prod
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -65,15 +63,6 @@ def parse_label_set(text: str, n: int) -> int:
     return mask
 
 
-def _relabel(rho: DensityMatrix, axes, shape) -> np.ndarray:
-    """Read-only ``rho.mat.reshape(dims + dims).transpose(axes).reshape(shape)``:
-    a view when no data moves, else a fresh copy. Axis k carries r_k and
-    axis n + k carries c_k."""
-    out = rho.mat.reshape(rho.dims * 2).transpose(axes).reshape(shape)
-    out.setflags(write=False)
-    return out
-
-
 def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
     """Transpose the labels in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k).
 
@@ -92,7 +81,10 @@ def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
         # c varies slower than r when both labels of a subsystem share a side
         (rows if mask >> (2 * k + 1) & 1 else cols).append(n + k)
         (cols if mask >> (2 * k) & 1 else rows).append(k)
-    return _relabel(rho, rows + cols, transpose_shape(dims, mask))
+    # a view when no data moves, else a fresh copy; read-only either way
+    out = rho.mat.reshape(dims * 2).transpose(rows + cols).reshape(transpose_shape(dims, mask))
+    out.setflags(write=False)
+    return out
 
 
 def transpose_shape(dims, mask: int) -> tuple[int, int]:
@@ -116,7 +108,8 @@ def realign(rho: DensityMatrix) -> np.ndarray:
     if len(rho.dims) != 2:
         raise InvalidInputError(
             f"realign requires exactly 2 subsystems, got {len(rho.dims)}; "
-            "use cut_and_realign for multipartite states"
+            "for multipartite states use realignment_criterion, or "
+            "generalized_transpose with a cut's mask"
         )
     return generalized_transpose(rho, 0b0110)
 
@@ -136,42 +129,14 @@ def partial_transpose(rho: DensityMatrix, subsystems) -> np.ndarray:
     return generalized_transpose(rho, sum(3 << (2 * k) for k in subs))
 
 
-def cut_blocks(n: int, first_block, second_block=None) -> tuple[list[int], list[int]]:
-    """Validate a bipartite cut of ``range(n)`` and return both blocks sorted.
-
-    With ``second_block`` omitted it defaults to the complement of the first.
-    """
-    block1 = sorted({int(k) for k in first_block})
-    if block1 and (block1[0] < 0 or block1[-1] >= n):
-        raise InvalidInputError(f"cut indices {block1} out of range for {n} subsystems")
-    if second_block is None:
-        block2 = [k for k in range(n) if k not in block1]
-    else:
-        block2 = sorted({int(k) for k in second_block})
-    if not block1 or not block2:
-        raise InvalidInputError("both blocks of the cut must be non-empty")
-    if set(block1) & set(block2) or len(block1) + len(block2) != n:
+def check_scan_limit(n: int) -> None:
+    """Raise unless a scan of ``n`` subsystems is within ``MAX_SCAN_SUBSYSTEMS``."""
+    if n > MAX_SCAN_SUBSYSTEMS:
         raise InvalidInputError(
-            f"blocks {block1} | {block2} do not partition the {n} subsystems"
+            f"{n} subsystems means 2^{2 * n} subsets, beyond the scan limit of "
+            f"{MAX_SCAN_SUBSYSTEMS}; "
+            "evaluate chosen subsets directly via generalized_transpose"
         )
-    return block1, block2
-
-
-def cut_and_realign(rho: DensityMatrix, first_block, second_block=None) -> np.ndarray:
-    """Fuse the subsystems of a bipartite cut and realign across it.
-
-    ``first_block`` (and optionally ``second_block``) partition the
-    subsystems into two non-empty groups; indices inside each block are
-    fused in ascending order. With ``second_block`` omitted it defaults to
-    the complement. The result is the realignment of the fused d1 x d2
-    state, of shape d1^2 x d2^2.
-    """
-    n = len(rho.dims)
-    block1, block2 = cut_blocks(n, first_block, second_block)
-    side1 = prod(rho.dims[k] for k in block1)
-    side2 = prod(rho.dims[k] for k in block2)
-    axes = [*(n + k for k in block1), *block1, *(n + k for k in block2), *block2]
-    return _relabel(rho, axes, (side1 * side1, side2 * side2))
 
 
 def enumerate_label_subsets(n: int, dedupe: bool = True) -> range:
@@ -184,10 +149,5 @@ def enumerate_label_subsets(n: int, dedupe: bool = True) -> range:
     """
     if n < 1:
         raise InvalidInputError(f"need at least one subsystem, got n={n}")
-    if n > MAX_SCAN_SUBSYSTEMS:
-        raise InvalidInputError(
-            f"{n} subsystems means 2^{2 * n} subsets, beyond the scan limit of "
-            f"{MAX_SCAN_SUBSYSTEMS}; "
-            "evaluate chosen subsets directly via generalized_transpose"
-        )
+    check_scan_limit(n)
     return range(1 << (2 * n - 1 if dedupe else 2 * n))

@@ -202,42 +202,6 @@ def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatri
     return DensityMatrix(_random_density_mat(side, rank, rng), dims)
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Unitary from QR of a complex Gaussian, with the phases of the
-    triangular factor's diagonal absorbed to make the draw well spread."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
-def random_local_unitary(dims, seed: int = 0) -> np.ndarray:
-    """Tensor product of independent random unitaries, one per subsystem."""
-    rng = np.random.default_rng(int(seed))
-    out = np.ones((1, 1), dtype=complex)
-    for d in dims:
-        out = np.kron(out, random_unitary(int(d), rng))
-    return out
-
-
-def mix(states, probs) -> DensityMatrix:
-    """Convex combination of density matrices with matching dims."""
-    states = list(states)
-    weights = [float(p) for p in probs]
-    if len(states) != len(weights) or not states:
-        raise InvalidInputError("need equally many states and probabilities, at least one")
-    if any(p < 0 for p in weights):
-        raise InvalidInputError(f"probabilities must be non-negative, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise InvalidInputError(f"probabilities must sum to 1, got {sum(weights)!r}")
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise InvalidInputError("all states in a mixture must share the same dims")
-    mat = sum(p * s.mat for p, s in zip(weights, states))
-    return DensityMatrix(mat, dims)
-
-
 # --- textual state specs (the CLI surface) ---------------------------------
 
 @dataclass(frozen=True)
@@ -398,6 +362,16 @@ def parse_sweep(text: str) -> tuple[str, tuple, str]:
         )
     fixed = _parse_params(fixed_params, tokens)
     return family, fixed, f"{family}:{','.join(tokens)}" if tokens else family
+
+
+def subsystem_count(spec: StateSpec) -> int:
+    """Number of subsystems of the state ``spec`` describes, without building it."""
+    parse = _FAMILIES[spec.family][1][0][0]
+    if parse is _parse_dims:
+        return len(spec.params[0])
+    if parse is _parse_qubits:
+        return spec.params[0]
+    return 2  # every other family is bipartite
 
 
 def _value_text(value) -> str:

@@ -90,27 +90,13 @@ def naive_partial_transpose(mat, dims, subsystems):
     return out
 
 
-def naive_partial_trace(mat, dims, keep):
-    """Entry-by-entry partial trace onto the kept subsystems."""
-    keep = sorted(keep)
-    traced = [k for k in range(len(dims)) if k not in keep]
-    kept_dims = [dims[k] for k in keep]
-    side = int(np.prod(kept_dims))
-    out = np.zeros((side, side), dtype=complex)
-    for a in index_ranges(kept_dims):
-        for b in index_ranges(kept_dims):
-            total = 0.0 + 0.0j
-            for t in index_ranges([dims[k] for k in traced]):
-                i = [0] * len(dims)
-                j = [0] * len(dims)
-                for pos, k in enumerate(keep):
-                    i[k] = a[pos]
-                    j[k] = b[pos]
-                for pos, k in enumerate(traced):
-                    i[k] = t[pos]
-                    j[k] = t[pos]
-                total += mat[pack(i, dims), pack(j, dims)]
-            out[pack(a, kept_dims), pack(b, kept_dims)] = total
+def vec(mat):
+    """Column-stack a matrix into an (m*n, 1) column vector, first column first."""
+    rows, cols = mat.shape
+    out = np.zeros((rows * cols, 1), dtype=complex)
+    for j in range(cols):
+        for i in range(rows):
+            out[j * rows + i, 0] = mat[i, j]
     return out
 
 
@@ -138,3 +124,22 @@ def random_state(side, rng, rank=None):
     g = rng.standard_normal((side, rank)) + 1j * rng.standard_normal((side, rank))
     mat = g @ g.conj().T
     return mat / mat.trace().real
+
+
+def random_unitary(d, rng):
+    """Unitary from QR of a complex Gaussian, with the phases of the
+    triangular factor's diagonal absorbed to make the draw well spread."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+def random_local_unitary(dims, seed=0):
+    """Tensor product of independent random unitaries, one per subsystem."""
+    rng = np.random.default_rng(int(seed))
+    out = np.ones((1, 1), dtype=complex)
+    for d in dims:
+        out = np.kron(out, random_unitary(int(d), rng))
+    return out

@@ -21,22 +21,19 @@ from entscan import (
     horodecki_3x3,
     kron,
     measure_e,
-    mix,
     negativity,
     partial_transpose,
     random_density,
-    random_local_unitary,
     realign,
     separable_mixture,
     singular_values,
     trace_norm,
-    vec,
     werner_state,
 )
 from entscan.cli import main
 from entscan.reshape import enumerate_label_subsets
 
-from reference import random_state
+from reference import random_local_unitary, random_state, vec
 
 
 def criterion(number, text, passed):
@@ -250,7 +247,7 @@ def test_criterion_10_measure_ordering_and_convexity():
         rho1 = random_density((2, 2), seed=2000 + pair)
         rho2 = random_density((2, 2), seed=3000 + pair)
         lam = float(rng.random())
-        blend = mix([rho1, rho2], [lam, 1 - lam])
+        blend = DensityMatrix(lam * rho1.mat + (1 - lam) * rho2.mat, (2, 2))
         bound = lam * measure_e(rho1) + (1 - lam) * measure_e(rho2)
         if measure_e(blend) > bound + 1e-9:
             convex_ok = False

@@ -51,6 +51,14 @@ class TestAnalyze:
         assert report["ppt"]["results"] == []
         assert report["realignment"]["applicable"] is False
 
+    def test_report_lists_only_the_tolerances_that_act(self, capsys):
+        _, report, _ = run_json(capsys, "analyze", "bell:psi-")
+        assert set(report["tolerances"]) == {
+            "hermiticity_tol_scale", "trace_tol", "normalize_max_deviation", "norm_tol",
+        }
+        _, out, _ = run(capsys, "analyze", "bell:psi-")
+        assert "tolerances: norm_tol 1e-09  trace_tol 1e-10" in out.splitlines()
+
     def test_no_dedupe_lists_all_subsets(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "bell:phi+", "--no-dedupe")
         assert report["scan"]["subsets_evaluated"] == 16
@@ -527,3 +535,19 @@ class TestArgumentHandling:
         code, _, err = run(capsys, "analyze", "ghz:7")
         assert code == 1
         assert "scan limit" in err
+
+    @pytest.mark.parametrize("spec", ["ghz:7", "maxmixed:2x2x2x2x2x2x2"])
+    def test_scan_limit_is_checked_before_the_state_is_built(self, capsys, monkeypatch, spec):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze built a state beyond the scan limit")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        code, out, err = run(capsys, "analyze", spec)
+        assert code == 1
+        assert out == ""
+        assert "7 subsystems means 2^14 subsets, beyond the scan limit of 6" in err
+
+    def test_norms_has_no_scan_limit(self, capsys):
+        code, out, _ = run(capsys, "norms", "ghz:7", "")
+        assert code == 0
+        assert out.startswith("labels {}  shape 128x128")

@@ -18,11 +18,9 @@ from entscan import (
     horodecki_3x3,
     max_mixed,
     measure_e,
-    mix,
     negativity,
     ppt_criterion,
     random_density,
-    random_local_unitary,
     random_product_state,
     realignment_criterion,
     separable_mixture,
@@ -37,6 +35,7 @@ from reference import (
     naive_generalized_transpose,
     naive_realign,
     naive_trace_norm,
+    random_local_unitary,
     random_state,
 )
 
@@ -81,7 +80,7 @@ class TestPptCriterion:
         assert len(ppt_criterion(max_mixed((2,)))) == 0
 
     def test_near_threshold_row_follows_the_scan_rule(self):
-        # min eig -6e-10 is inside PSD_TOL, but the trace norm 1 + 1.2e-9 is
+        # min eig -6e-10 is above -1e-9, but the trace norm 1 + 1.2e-9 is
         # past 1 + NORM_TOL: the PPT row violates, like the scan's row for it
         rho = werner_state(0.3333333341333333)
         (res,) = ppt_criterion(rho)
@@ -163,10 +162,9 @@ class TestGptScan:
         assert report.max_norm <= 1.0 + 1e-9
 
     def test_mix_of_two_product_states_undetected(self):
-        blend = mix(
-            [separable_mixture((2, 2), 1, seed=41), separable_mixture((2, 2), 1, seed=42)],
-            [0.3, 0.7],
-        )
+        first = separable_mixture((2, 2), 1, seed=41).mat
+        second = separable_mixture((2, 2), 1, seed=42).mat
+        blend = DensityMatrix(0.3 * first + 0.7 * second, (2, 2))
         assert gpt_scan(blend).verdict is Verdict.UNDETECTED
 
     def test_results_in_canonical_order(self):
@@ -284,7 +282,7 @@ class TestMeasureE:
             rho1 = random_density((2, 2), seed=seed)
             rho2 = random_density((2, 2), seed=seed + 100)
             lam = float(rng.random())
-            blend = mix([rho1, rho2], [lam, 1 - lam])
+            blend = DensityMatrix(lam * rho1.mat + (1 - lam) * rho2.mat, (2, 2))
             assert measure_e(blend) <= lam * measure_e(rho1) + (1 - lam) * measure_e(
                 rho2
             ) + 1e-9

@@ -24,12 +24,17 @@ from entscan import (
     singular_values,
     spec_text,
     trace_norm,
-    vec,
 )
 from entscan.cli import load_matrix_file, main
 from entscan.states import _FAMILIES, BELL_KINDS, StateSpec
 
-from reference import all_flip_sets, naive_generalized_transpose, naive_trace_norm, random_state
+from reference import (
+    all_flip_sets,
+    naive_generalized_transpose,
+    naive_trace_norm,
+    random_state,
+    vec,
+)
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 

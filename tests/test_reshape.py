@@ -7,7 +7,6 @@ from entscan import (
     DensityMatrix,
     InvalidInputError,
     bell_state,
-    cut_and_realign,
     enumerate_label_subsets,
     format_label_set,
     generalized_transpose,
@@ -15,10 +14,10 @@ from entscan import (
     parse_label_set,
     partial_transpose,
     realign,
+    realignment_criterion,
     separable_mixture,
     singular_values,
     trace_norm,
-    vec,
 )
 
 from reference import (
@@ -28,6 +27,7 @@ from reference import (
     naive_realign,
     naive_trace_norm,
     random_state,
+    vec,
 )
 
 
@@ -141,7 +141,6 @@ class TestGeneralizedTranspose:
             generalized_transpose(rho, 0b100110),  # a fresh copy
             realign(bell_state("psi-")),
             partial_transpose(rho, [1]),
-            cut_and_realign(rho, [0, 2]),
         ]
         for out in outputs:
             assert not out.flags.writeable
@@ -190,7 +189,7 @@ class TestGeneralizedTranspose:
 
 class TestRealign:
     def test_requires_bipartite(self):
-        with pytest.raises(InvalidInputError, match="exactly 2"):
+        with pytest.raises(InvalidInputError, match="exactly 2.*realignment_criterion"):
             realign(ghz_state(3))
 
     def test_against_naive_blocks(self):
@@ -259,45 +258,42 @@ class TestPartialTranspose:
 
 
 class TestCutAndRealign:
+    """Realignment across the cuts of a multipartite state, as the rows of
+    ``realignment_criterion`` (one per cut of ``bipartite_cuts``)."""
+
     def test_bipartite_cut_equals_realign(self):
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        assert np.array_equal(cut_and_realign(rho, [0]), realign(rho))
+        (row,) = realignment_criterion(rho)
+        assert row.shape == realign(rho).shape
+        assert abs(row.trace_norm - trace_norm(realign(rho))) < 1e-12
 
     def test_ghz_first_vs_rest_norm(self):
-        out = cut_and_realign(ghz_state(3), [0])
-        assert out.shape == (4, 16)
-        assert abs(trace_norm(out) - 2.0) < 1e-12
+        row = realignment_criterion(ghz_state(3))[0]  # A|BC
+        assert row.shape == (4, 16)
+        assert abs(row.trace_norm - 2.0) < 1e-12
 
     def test_product_state_cuts_stay_bounded(self):
         rng = np.random.default_rng(15)
         mats = [random_state(2, rng) for _ in range(3)]
         mat = np.kron(np.kron(mats[0], mats[1]), mats[2])
         rho = DensityMatrix(mat, (2, 2, 2))
-        for block in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            assert trace_norm(cut_and_realign(rho, block)) <= 1.0 + 1e-10
+        rows = realignment_criterion(rho)
+        assert len(rows) == 3  # A|BC, AB|C, AC|B: every block and its complement
+        for row in rows:
+            assert row.trace_norm <= 1.0 + 1e-10
 
     def test_non_contiguous_block_against_naive(self):
         rng = np.random.default_rng(16)
         mat = random_state(8, rng)
         rho = DensityMatrix(mat, (2, 2, 2))
         # fuse subsystems {0, 2} by hand: permute to order (0, 2, 1), then realign
-        tensor = mat.reshape((2,) * 6)
+        tensor = rho.mat.reshape((2,) * 6)
         regrouped = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
-        expected = naive_realign(regrouped, (4, 2))
-        assert np.array_equal(cut_and_realign(rho, [0, 2]), expected)
-
-    def test_trivial_partition_rejected(self):
-        rho = bell_state("phi+")
-        with pytest.raises(InvalidInputError, match="non-empty"):
-            cut_and_realign(rho, [])
-        with pytest.raises(InvalidInputError, match="non-empty"):
-            cut_and_realign(rho, [0, 1])
-
-    def test_overlapping_blocks_rejected(self):
-        rho = ghz_state(3)
-        with pytest.raises(InvalidInputError, match="partition"):
-            cut_and_realign(rho, [0, 1], [1, 2])
+        expected = naive_trace_norm(naive_realign(regrouped, (4, 2)))
+        row = realignment_criterion(rho)[2]  # AC|B
+        assert row.shape == (16, 4)
+        assert abs(row.trace_norm - expected) < 1e-12
 
 
 class TestEnumeration:
