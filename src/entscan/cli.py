@@ -10,8 +10,9 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
 a state and exits 1, in analyze and norms alike. Specs and files are held to
 D <= MAX_KRON_DIM, and mixture terms and scan-family grid points to at most
-MAX_KRON_DIM, before anything is allocated; analyze also refuses a spec
-beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before building it.
+MAX_KRON_DIM, before anything is allocated; analyze also refuses a spec or
+file beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before building
+its state.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -21,6 +22,7 @@ same BLAS thread count.
 import argparse
 import json
 import sys
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -69,12 +71,13 @@ def _is_number(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def load_matrix_file(path: str):
+def load_matrix_file(path: str, scan: bool = False):
     """Read a matrix file: dims, D x D entries as [re, im] pairs, metadata.
 
     Returns ``(matrix, dims, name, description)``; raises
     :class:`InvalidInputError` with the offending line or field on any
-    malformed content.
+    malformed content. With ``scan`` a file beyond the scan limit is refused
+    as soon as its ``dims`` are read, before the matrix is built.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -96,6 +99,8 @@ def load_matrix_file(path: str):
     ):
         raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
     check_dimension(dims, f"{path}: field 'dims'")
+    if scan:
+        check_scan_limit(len(dims))
     side = prod(dims)
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != side:
@@ -149,13 +154,13 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None)
 def _resolve_input(text: str, normalize: bool, seed: int, scan: bool = False):
     """Interpret ``text`` as an existing matrix file, else as a state spec.
 
-    With ``scan`` a spec beyond the scan limit is refused before its state
-    is built.
+    With ``scan`` a file or spec beyond the scan limit is refused before its
+    state is built.
     """
     import os
 
     if os.path.exists(text):
-        mat, dims, name, _ = load_matrix_file(text)
+        mat, dims, name, _ = load_matrix_file(text, scan=scan)
         rho = density_matrix(mat, dims, normalize=normalize)
         return rho, (name or ""), normalize
     try:
@@ -497,6 +502,7 @@ def _add_state_input(sub) -> None:
     _add_format(sub)
 
 
+@cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="entscan",
@@ -514,12 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_input(analyze)
     analyze.add_argument("--no-dedupe", action="store_true",
                          help="list all 2^(2n) subsets instead of complement pairs")
-    analyze.set_defaults(func=cmd_analyze)
 
     norms = subs.add_parser("norms", help="trace norm of one label subset")
     _add_state_input(norms)
     norms.add_argument("labels", help="label subset like 'cA,rB'; empty string for none")
-    norms.set_defaults(func=cmd_norms)
 
     scan = subs.add_parser(
         "scan-family",
@@ -533,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--grid", type=int, default=33, metavar="N",
                       help="grid points before bisection, default %(default)s")
     _add_format(scan)
-    scan.set_defaults(func=cmd_scan_family)
 
     gen = subs.add_parser("generate", help="write a state spec to a matrix file",
                           epilog=f"state specs: {family_help()}")
@@ -541,18 +544,24 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("output", help="output file path")
     gen.add_argument("--seed", type=int, default=0, metavar="S",
                      help="seed for seeded specs that omit one, default %(default)s")
-    gen.set_defaults(func=cmd_generate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return 0 if exc.code in (0, None) else 1
+    # looked up per call, not stored in the shared parser, so that a wrapped
+    # cmd_* (a test's or a tracer's) is the one that runs
+    command = {
+        "analyze": cmd_analyze,
+        "norms": cmd_norms,
+        "scan-family": cmd_scan_family,
+        "generate": cmd_generate,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidInputError as exc:
         sys.stderr.write(f"entscan: error: {exc}\n")
         return 1

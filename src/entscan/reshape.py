@@ -14,6 +14,8 @@ come out with rows (m_11, m_21, m_12, m_22), (m_31, m_41, m_32, m_42), ...
 rather than some row/column permutation of that layout.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -29,12 +31,22 @@ def subsystem_letter(k: int) -> str:
     return chr(ord("A") + k) if 0 <= k < 26 else f"#{k}"
 
 
+@cache
+def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
+    """Subsystem k's labels for each value of its two mask bits: none, r, c, both."""
+    r, c = (f"{kind}{subsystem_letter(k)}" for kind in _KINDS)
+    return ("", r, c, f"{r},{c}")
+
+
 def format_label_set(mask: int, n: int) -> str:
     """Render the labels in ``mask`` like ``"rA,cA"`` (subsystem order, r before c)."""
-    return ",".join(
-        f"{kind}{subsystem_letter(k)}"
-        for k in range(n) for bit, kind in enumerate(_KINDS) if mask >> (2 * k + bit) & 1
-    )
+    # one table lookup per subsystem: a report formats two label sets per row
+    parts = []
+    for k in range(n):
+        part = _subsystem_labels(k)[mask >> (2 * k) & 3]
+        if part:
+            parts.append(part)
+    return ",".join(parts)
 
 
 def parse_label_set(text: str, n: int) -> int:

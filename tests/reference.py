@@ -104,6 +104,17 @@ def naive_trace_norm(mat):
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
+def naive_label_text(mask, n):
+    """The labels in ``mask``, one bit at a time: subsystem order, r before c."""
+    names = []
+    for k in range(n):
+        letter = chr(ord("A") + k) if k < 26 else f"#{k}"
+        for bit, kind in enumerate("rc"):
+            if mask >> (2 * k + bit) & 1:
+                names.append(f"{kind}{letter}")
+    return ",".join(names)
+
+
 def all_flip_sets(n):
     """All 2^(2n) flip sets keyed by canonical bitmask."""
     out = []

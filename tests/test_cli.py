@@ -551,3 +551,64 @@ class TestArgumentHandling:
         code, out, _ = run(capsys, "norms", "ghz:7", "")
         assert code == 0
         assert out.startswith("labels {}  shape 128x128")
+
+    def test_file_scan_limit_is_checked_before_the_state_is_built(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = str(tmp_path / "ghz7.json")
+        assert run(capsys, "generate", "ghz:7", path)[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze built a state beyond the scan limit")
+
+        monkeypatch.setattr(cli, "density_matrix", refuse)
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1
+        assert out == ""
+        assert "7 subsystems means 2^14 subsets, beyond the scan limit of 6" in err
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "norms", path, "")
+        assert code == 0
+        assert out.startswith("labels {}  shape 128x128")
+
+    def test_file_scan_limit_is_checked_before_the_matrix_is_read(self, capsys, tmp_path):
+        # the matrix field is wrong too, but the dims alone decide
+        path = tmp_path / "seven.json"
+        path.write_text(json.dumps({"dims": [2] * 7, "matrix": []}))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 1
+        assert "beyond the scan limit of 6" in err
+        code, _, err = run(capsys, "norms", str(path), "")
+        assert code == 1
+        assert "field 'matrix' must be a 128x128 array" in err
+
+
+class TestSharedParser:
+    # analyze, an argparse error, --version, analyze again
+    SEQUENCE = [
+        ["analyze", "bell:psi-"],
+        ["analyze", "bell:psi-", "--format", "xml"],
+        ["--version"],
+        ["analyze", "werner:0.2", "--format", "json"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys):
+        cli.build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [3, 1, 0, 0]
+        assert "invalid choice: 'xml'" in reused[1][2]
+        assert reused[2][1] == f"entscan {entscan.__version__}\n"
+
+    def test_commands_are_looked_up_per_call(self, capsys, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(cli, "cmd_norms", lambda args: 42)
+        assert main(["norms", "bell:psi-", "cA"]) == 42

@@ -6,15 +6,20 @@ import pytest
 from entscan import (
     DensityMatrix,
     InvalidInputError,
+    NumericalError,
     bell_state,
     density_matrix,
+    generalized_transpose,
+    generate,
     kron,
+    linalg,
+    parse_state_spec,
     singular_values,
     trace_norm,
 )
 from entscan.criteria import state_row
 
-from reference import random_local_unitary, random_state, vec
+from reference import naive_trace_norm, random_local_unitary, random_state, vec
 
 
 def test_kron_identity():
@@ -74,8 +79,11 @@ def test_vec_of_matrix_product_identity():
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_singular_values_zero_matrix():
-    assert np.array_equal(singular_values(np.zeros((3, 2))), np.zeros(2))
+@pytest.mark.parametrize("shape", [(3, 2), (4096, 1), (16, 256), (64, 32)])
+def test_singular_values_zero_matrix(shape):
+    s = singular_values(np.zeros(shape))
+    assert np.array_equal(s, np.zeros(min(shape)))
+    assert not s.flags.writeable
 
 
 def test_singular_values_rank_one():
@@ -99,9 +107,77 @@ def test_singular_values_frobenius_consistency():
     assert abs((s**2).sum() - np.linalg.norm(a) ** 2) < 1e-10
 
 
-def test_singular_values_rejects_non_finite():
+@pytest.mark.parametrize("shape, bad", [((2, 2), np.nan), ((16, 256), np.nan), ((16, 256), np.inf)])
+def test_singular_values_rejects_non_finite(shape, bad):
+    a = np.eye(*shape)
+    a[0, 0] = bad
     with pytest.raises(InvalidInputError, match="non-finite"):
-        singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        singular_values(a)
+
+
+class TestRFactorPath:
+    """Matrices at least twice as tall as wide (or wide as tall) with at least
+    QR_MIN_ENTRIES entries are solved through their R factor."""
+
+    # (shape, whether the R-factor branch applies)
+    SHAPES = [
+        ((1, 1296), False),  # below the size rule
+        ((8, 162), False),
+        ((36, 18), False),
+        ((36, 64), False),  # large, but less than twice as wide as tall
+        ((64, 81), False),
+        ((32, 64), True),  # exactly at both rules
+        ((1, 4096), True),
+        ((2048, 2), True),
+        ((16, 256), True),
+        ((243, 27), True),
+        ((27, 243), True),
+    ]
+
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.np.linalg, "qr", spy)
+        return calls
+
+    @pytest.mark.parametrize("shape, via_r", SHAPES)
+    def test_branch_follows_the_size_and_aspect_rules(self, qr_calls, shape, via_r):
+        singular_values(np.ones(shape))
+        assert bool(qr_calls) == via_r
+
+    @pytest.mark.parametrize("shape", [shape for shape, _ in SHAPES])
+    def test_random_matrices_match_the_naive_trace_norm(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        s = singular_values(a)
+        scale = np.linalg.norm(a)
+        assert len(s) == min(shape)
+        assert abs(s.sum() - naive_trace_norm(a)) <= 1e-12 * scale
+        assert np.max(np.abs(s - np.linalg.svd(a, compute_uv=False))) <= 1e-12 * scale
+
+    def test_rank_one_realignment_has_no_sqrt_eps_tail(self):
+        # the A|BC realignment {cA, rB, rC} of a product state is vec(rho_A)
+        # vec(rho_BC)^T; a Gram-matrix solve would leave ~1e-8 per zero here
+        rho = generate(parse_state_spec("productrandom:4x4x4,5"))
+        a = generalized_transpose(rho, 0b010110)
+        assert a.shape == (16, 256)
+        s = singular_values(a)
+        assert s[0] > 0.1
+        assert np.all(s[1:] <= 1e-14)
+
+    def test_lapack_failure_is_a_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(linalg.np.linalg, "qr", fail)
+        with pytest.raises(NumericalError, match="16x256 matrix"):
+            singular_values(np.ones((16, 256)))
 
 
 def test_trace_norm_of_density_matrices_is_one():

@@ -23,6 +23,7 @@ from entscan import (
 from reference import (
     all_flip_sets,
     naive_generalized_transpose,
+    naive_label_text,
     naive_partial_transpose,
     naive_realign,
     naive_trace_norm,
@@ -336,6 +337,13 @@ class TestLabelText:
         for n in (1, 2, 3):
             for mask in range(1 << (2 * n)):
                 assert parse_label_set(format_label_set(mask, n), n) == mask
+
+    @pytest.mark.parametrize("n", [1, 4, 6, 28])
+    def test_matches_the_bit_loop(self, n):
+        # 28 subsystems (of dimension 1) run past the letters to #26, #27
+        masks = range(1 << (2 * n)) if n <= 6 else (0, 5, 3 << 52, (1 << 56) - 1)
+        for mask in masks:
+            assert format_label_set(mask, n) == naive_label_text(mask, n)
 
     def test_display_order_r_before_c(self):
         mask = parse_label_set("cA,rA", 2)
