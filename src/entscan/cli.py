@@ -105,6 +105,23 @@ def load_matrix_file(path: str, scan: bool = False):
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != side:
         raise InvalidInputError(f"{path}: field 'matrix' must be a {side}x{side} array")
+    mat = _read_cells(path, rows, side)
+    name = data.get("name")
+    description = data.get("description")
+    for field, value in (("name", name), ("description", description)):
+        if value is not None and not isinstance(value, str):
+            raise InvalidInputError(f"{path}: field '{field}' must be a string")
+    return mat, tuple(dims), name, description
+
+
+def _read_cells(path: str, rows: list, side: int) -> np.ndarray:
+    """The ``side`` x ``side`` complex matrix of ``rows``, [re, im] pairs."""
+    try:  # a well-formed file: one exact type check, one conversion
+        cells = np.array(rows, dtype=object)
+        if cells.shape == (side, side, 2) and {*map(type, cells.ravel().tolist())} <= {int, float}:
+            return cells.astype(float).view(complex)[..., 0]
+    except (ValueError, OverflowError):
+        pass  # ragged, or a number too large: the loop below names the cell
     mat = np.zeros((side, side), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != side:
@@ -124,12 +141,7 @@ def load_matrix_file(path: str, scan: bool = False):
                 raise InvalidInputError(
                     f"{path}: matrix[{i}][{j}] holds a number too large for a double"
                 ) from None
-    name = data.get("name")
-    description = data.get("description")
-    for field, value in (("name", name), ("description", description)):
-        if value is not None and not isinstance(value, str):
-            raise InvalidInputError(f"{path}: field '{field}' must be a string")
-    return mat, tuple(dims), name, description
+    return mat
 
 
 def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None) -> None:
@@ -202,13 +214,11 @@ def _subsystem_letters(res) -> str:
     return "".join(subsystem_letter(k) for k in range(res.n) if res.mask >> (2 * k) & 3)
 
 
-def build_analyze_report(
-    rho: DensityMatrix, name: str, normalized: bool, *, dedupe: bool
-) -> dict:
+def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dict:
     """The analyze report; PPT, realignment and negativities are read from
     the one scan, which evaluates each distinct subset once."""
     n = len(rho.dims)
-    scan = gpt_scan(rho, dedupe=dedupe)
+    scan = gpt_scan(rho)
     ppt_rows = []
     for res in scan.ppt_results():
         row = _subset_dict(res)
@@ -237,7 +247,6 @@ def build_analyze_report(
         "ppt": {"results": ppt_rows},
         "realignment": {"applicable": n >= 2, "results": realignment_rows},
         "scan": {
-            "dedupe": dedupe,
             "subsets_evaluated": len(scan.results),
             "results": [_subset_dict(res) for res in scan.results],
             "max_norm": scan.max_norm,
@@ -304,9 +313,8 @@ def render_human_analyze(report: dict) -> str:
         )
     scan = report["scan"]
     lines.append(
-        "label-subset scan ({} subsets{}):".format(
-            scan["subsets_evaluated"],
-            ", complement pairs deduped" if scan["dedupe"] else "",
+        "label-subset scan ({} subsets, complement pairs deduped):".format(
+            scan["subsets_evaluated"]
         )
     )
     for row in scan["results"]:
@@ -348,7 +356,7 @@ def _emit(report: dict, fmt: str, human_renderer) -> None:
 
 def cmd_analyze(args) -> int:
     rho, name, normalized = _resolve_input(args.input, args.normalize, args.seed, scan=True)
-    report = build_analyze_report(rho, name, normalized, dedupe=not args.no_dedupe)
+    report = build_analyze_report(rho, name, normalized)
     _emit(report, args.format, render_human_analyze)
     return 3 if report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value else 0
 
@@ -518,8 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=f"state specs: {family_help()}",
     )
     _add_state_input(analyze)
-    analyze.add_argument("--no-dedupe", action="store_true",
-                         help="list all 2^(2n) subsets instead of complement pairs")
 
     norms = subs.add_parser("norms", help="trace norm of one label subset")
     _add_state_input(norms)

@@ -7,7 +7,6 @@ verdict is UNDETECTED.
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -70,7 +69,6 @@ class CriterionReport:
     argmax: SubsetResult
     verdict: Verdict
     measure_e: float
-    dedupe: bool
 
     @property
     def max_norm(self) -> float:
@@ -90,8 +88,7 @@ class CriterionReport:
 
     def lookup(self, mask: int) -> SubsetResult:
         """The result for ``mask``, read from its class representative's row."""
-        # results index by mask: dedupe keeps exactly the masks below
-        # 2^(2n-1), and every representative is one of them
+        # results index by mask, and every representative is below 2^(2n-1)
         return self.results[_representative(mask, len(self.dims))].as_mask(mask, self.dims)
 
     def ppt_results(self) -> list[SubsetResult]:
@@ -144,7 +141,7 @@ def _negativity(pt_norm: float) -> float:
 
 def _representative(mask: int, n: int) -> int:
     """The smallest mask of the symmetry class {M, comp M, swap M, comp swap M}
-    of ``mask`` = M, the one a deduped scan solves for the whole class.
+    of ``mask`` = M, the one the scan solves for the whole class.
 
     ``swap`` exchanges r_k and c_k of every subsystem. The complement's
     transpose is the transpose of M's matrix. For Hermitian rho,
@@ -254,22 +251,21 @@ def state_row(rho: DensityMatrix) -> SubsetResult:
     return own
 
 
-def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
+def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     """Evaluate every enumerated label subset and assemble the verdict.
 
-    With ``dedupe`` the rows are one mask of each complement pair, and each
-    symmetry class (see :func:`_representative`) is solved once, at its
-    representative; the other rows read its values bitwise. Without it all
-    2^(2n) masks are listed and each is solved on its own.
+    The rows are one mask of each complement pair, and each symmetry class
+    (see :func:`_representative`) is solved once, at its representative; the
+    other rows read its values bitwise. :meth:`CriterionReport.lookup` reads
+    any mask, complements included.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Refuses input
     that is not a state, through :func:`state_row`, before solving the rest.
     """
-    masks = enumerate_label_subsets(len(rho.dims), dedupe=dedupe)
+    masks = enumerate_label_subsets(len(rho.dims))
     own = state_row(rho)
-    result_for = _solver(rho, own) if dedupe else partial(evaluate_subset, rho)
-    results = (own, *map(result_for, masks[1:]))
+    results = (own, *map(_solver(rho, own), masks[1:]))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     violating = any(res.violating for res in results)
     # Below the violation threshold the measure is exactly zero: rounding can
@@ -281,7 +277,6 @@ def gpt_scan(rho: DensityMatrix, dedupe: bool = True) -> CriterionReport:
         argmax=best,
         verdict=Verdict.ENTANGLED_CERTIFIED if violating else Verdict.UNDETECTED,
         measure_e=(best.trace_norm - 1.0) / 2.0 if violating else 0.0,
-        dedupe=dedupe,
     )
 
 

@@ -9,7 +9,6 @@ Conventions used throughout the package:
   values can be shared freely between threads.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 from math import prod
 
@@ -56,6 +55,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def matrix_fingerprint(a: np.ndarray) -> str:
     """Short identifying string for error messages (shape, norm, content hash)."""
+    import hashlib  # only error paths need it; kept out of start-up
     arr = np.ascontiguousarray(a, dtype=complex)
     digest = hashlib.sha256(arr.tobytes()).hexdigest()[:12]
     return f"{arr.shape[0]}x{arr.shape[1]} matrix, fro={np.linalg.norm(arr):.6e}, sha256:{digest}"

@@ -151,15 +151,11 @@ def check_scan_limit(n: int) -> None:
         )
 
 
-def enumerate_label_subsets(n: int, dedupe: bool = True) -> range:
-    """All 2^(2n) subset masks in ascending order.
-
-    With ``dedupe`` (the default) only one representative of each
-    {Y, complement(Y)} pair is kept - the two always share their singular
-    spectrum - namely the one with the smaller mask. Those are exactly the
-    masks without the top bit c_(n-1), so the result indexes by mask either way.
-    """
+def enumerate_label_subsets(n: int) -> range:
+    """The 2^(2n-1) scanned masks, ascending: the smaller of each {Y, complement(Y)}
+    pair (the two share their singular spectrum). Those are exactly the masks
+    without the top bit c_(n-1), so the result indexes by mask."""
     if n < 1:
         raise InvalidInputError(f"need at least one subsystem, got n={n}")
     check_scan_limit(n)
-    return range(1 << (2 * n - 1 if dedupe else 2 * n))
+    return range(1 << (2 * n - 1))

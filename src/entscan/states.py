@@ -145,12 +145,13 @@ def horodecki_2x4(b: float) -> DensityMatrix:
     return DensityMatrix(mat / (7.0 * b + 1.0), (2, 4))
 
 
-def _random_pure_ket(d: int, rng: np.random.Generator) -> np.ndarray:
+# rng annotations are quoted: evaluated, they would import numpy.random at start-up
+def _random_pure_ket(d: int, rng: "np.random.Generator") -> np.ndarray:
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return ket / np.linalg.norm(ket)
 
 
-def _random_density_mat(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+def _random_density_mat(d: int, rank: int, rng: "np.random.Generator") -> np.ndarray:
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     return mat / mat.trace().real

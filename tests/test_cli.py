@@ -59,10 +59,6 @@ class TestAnalyze:
         _, out, _ = run(capsys, "analyze", "bell:psi-")
         assert "tolerances: norm_tol 1e-09  trace_tol 1e-10" in out.splitlines()
 
-    def test_no_dedupe_lists_all_subsets(self, capsys):
-        _, report, _ = run_json(capsys, "analyze", "bell:phi+", "--no-dedupe")
-        assert report["scan"]["subsets_evaluated"] == 16
-
     def test_unnormalized_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad_trace.json"
         rho = generate("maxmixed:2x2")
@@ -398,6 +394,19 @@ class TestGenerate:
         assert code == 1
         assert "[0, 1]" in err
 
+    def test_file_loads_bitwise_equal_to_cell_by_cell(self, tmp_path):
+        # ints, floats, signed zeros and subnormals, as json writes them
+        rng = np.random.default_rng(17)
+        values = [0, -0.0, 1, -3, 5e-324, 1e300, *rng.standard_normal(8).tolist()]
+        picks = iter(rng.integers(len(values), size=72).tolist())
+        rows = [[[values[next(picks)], values[next(picks)]] for _ in range(6)] for _ in range(6)]
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"dims": [2, 3], "matrix": rows}))
+        mat, _, _, _ = load_matrix_file(str(path))
+        expected = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert mat.dtype == expected.dtype and mat.shape == (6, 6)
+        assert mat.tobytes() == expected.tobytes()
+
     def test_round_trip_preserves_entries_exactly(self, capsys, tmp_path):
         path = tmp_path / "sep.json"
         assert run(capsys, "generate", "sepmix:2x3,4,13", str(path))[0] == 0
@@ -426,17 +435,18 @@ class TestDeterminism:
         assert first == second
 
 
-def _analyze_in_subprocess(spec, blas_threads):
+def _subprocess_env(**overrides) -> dict:
+    """The environment, with this checkout's ``entscan`` first on the path."""
     src = os.path.dirname(os.path.dirname(entscan.__file__))
     path = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS=str(blas_threads),
-        PYTHONPATH=src if not path else src + os.pathsep + path,
-    )
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, **overrides)
+
+
+def _analyze_in_subprocess(spec, blas_threads):
     proc = subprocess.run(
         [sys.executable, "-m", "entscan.cli", "analyze", spec, "--format", "json"],
-        env=env, capture_output=True, timeout=300,
+        env=_subprocess_env(OPENBLAS_NUM_THREADS=str(blas_threads)),
+        capture_output=True, timeout=300,
     )
     assert proc.returncode in (0, 3), proc.stderr
     return proc.stdout
@@ -518,6 +528,7 @@ class TestArgumentHandling:
             ["analyze", "maxmixed:2x2", "--tol-norm", "-1"],
             ["analyze", "maxmixed:2x2", "--max-n", "7"],
             ["analyze", "maxmixed:2x2", "--check-psd"],
+            ["analyze", "bell:psi-", "--no-dedupe"],
             ["norms", "bell:psi-", "cA", "--max-n", "2"],
             ["norms", "bell:psi-", "cA", "--tol-norm", "0"],
             ["scan-family", "werner", "--min", "0", "--max", "1", "--normalize"],
@@ -612,3 +623,15 @@ class TestSharedParser:
         cli.build_parser()
         monkeypatch.setattr(cli, "cmd_norms", lambda args: 42)
         assert main(["norms", "bell:psi-", "cA"]) == 42
+
+
+def test_startup_imports_neither_numpy_random_nor_hashlib():
+    # each costs every run start-up time; only seeded specs and solver
+    # error messages need them, and those import them on use
+    code = "import sys, entscan.cli; print(sorted({'numpy.random', 'hashlib'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -87,7 +87,7 @@ class TestPptCriterion:
         assert -1e-9 < res.min_eigenvalue < 0.0
         assert res.trace_norm > 1.0 + NORM_TOL
         assert res.violating
-        report = build_analyze_report(rho, "", False, dedupe=True)
+        report = build_analyze_report(rho, "", False)
         assert report["ppt"]["results"][0]["violating"]
         assert report["scan"]["results"][3]["violating"]
         assert report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value
@@ -142,11 +142,6 @@ class TestGptScan:
         assert report.argmax.mask == 3  # canonical tie-break
         assert len(report.results) == 8
 
-    def test_no_dedupe_doubles_subsets(self):
-        report = gpt_scan(bell_state("psi-"), dedupe=False)
-        assert len(report.results) == 16
-        assert abs(report.max_norm - 2.0) < 1e-9
-
     def test_separable_mixtures_undetected(self):
         for dims in [(2, 2), (2, 3), (2, 2, 2)]:
             for seed in range(10):
@@ -157,7 +152,7 @@ class TestGptScan:
     def test_bound_entangled_2x4_undetected(self):
         from entscan import horodecki_2x4
 
-        report = gpt_scan(horodecki_2x4(0.5), dedupe=False)
+        report = gpt_scan(horodecki_2x4(0.5))
         assert report.verdict is Verdict.UNDETECTED
         assert report.max_norm <= 1.0 + 1e-9
 
@@ -168,7 +163,7 @@ class TestGptScan:
         assert gpt_scan(blend).verdict is Verdict.UNDETECTED
 
     def test_results_in_canonical_order(self):
-        report = gpt_scan(bell_state("phi+"), dedupe=False)
+        report = gpt_scan(bell_state("phi+"))
         masks = [res.mask for res in report.results]
         assert masks == sorted(masks)
 
@@ -204,8 +199,8 @@ class TestGptScan:
             gpt_scan(rho)
 
     def test_hermitian_cases_carry_min_eigenvalue(self):
-        report = gpt_scan(bell_state("psi-"), dedupe=False)
-        for res in report.results:
+        report = gpt_scan(bell_state("psi-"))
+        for res in map(report.lookup, range(16)):
             if res.is_hermitian_case:
                 assert res.min_eigenvalue is not None
                 assert res.shape[0] == res.shape[1]
@@ -215,8 +210,8 @@ class TestGptScan:
     def test_ppt_subset_norm_is_one_when_psd(self):
         for seed in range(10):
             rho = random_density((2, 2), seed=seed)
-            report = gpt_scan(rho, dedupe=False)
-            for res in report.results:
+            report = gpt_scan(rho)
+            for res in map(report.lookup, range(16)):
                 if res.is_hermitian_case and res.min_eigenvalue >= -1e-12:
                     assert abs(res.trace_norm - 1.0) < 1e-10
 
@@ -302,11 +297,12 @@ class TestMeasureE:
 class TestEvaluateSubset:
     def test_single_subset_matches_scan(self):
         rho = bell_state("psi-")
-        report = gpt_scan(rho, dedupe=False)
-        for res in report.results:
-            single = evaluate_subset(rho, res.mask)
+        report = gpt_scan(rho)
+        for res in map(report.lookup, range(16)):
+            # bitwise the solve of its class representative, in its own shape
+            single = evaluate_subset(rho, _representative(res.mask, 2))
             assert single.trace_norm == res.trace_norm
-            assert single.shape == res.shape
+            assert evaluate_subset(rho, res.mask).shape == res.shape
 
     def test_complement_recorded(self):
         rho = bell_state("psi-")
@@ -346,7 +342,6 @@ class TestMaskEngine:
             assert res.shape == generalized_transpose(rho, mask).shape
             assert abs(res.trace_norm - evaluate_subset(rho, mask).trace_norm) <= 1e-12
 
-    @pytest.mark.parametrize("dedupe", [True, False])
     @pytest.mark.parametrize(
         "rho",
         [
@@ -358,8 +353,8 @@ class TestMaskEngine:
         ],
         ids=["bell", "werner", "2x3", "3x2x2", "2x2x2x2"],
     )
-    def test_analyze_matches_standalone_criteria(self, rho, dedupe):
-        report = build_analyze_report(rho, "", False, dedupe=dedupe)
+    def test_analyze_matches_standalone_criteria(self, rho):
+        report = build_analyze_report(rho, "", False)
         ppt = ppt_criterion(rho)
         assert len(report["ppt"]["results"]) == len(ppt)
         for row, res in zip(report["ppt"]["results"], ppt):
@@ -378,14 +373,13 @@ class TestMaskEngine:
         for k, value in enumerate(report["negativity_per_subsystem"]):
             assert value == negativity(rho, k)
 
-    @pytest.mark.parametrize("dedupe", [True, False])
-    def test_analyze_solves_each_subset_once(self, monkeypatch, dedupe):
+    def test_analyze_solves_each_subset_once(self, monkeypatch):
         calls = count_solver_calls(monkeypatch)
         rho = random_density((2, 3, 2), seed=8)
-        report = build_analyze_report(rho, "", False, dedupe=dedupe)
-        assert report["scan"]["subsets_evaluated"] == (32 if dedupe else 64)
-        # dedupe solves each symmetry class once; --no-dedupe every mask
-        assert len(calls) == (class_count(3) if dedupe else 64)
+        report = build_analyze_report(rho, "", False)
+        assert report["scan"]["subsets_evaluated"] == 32
+        # each symmetry class is solved once
+        assert len(calls) == class_count(3)
         # partial transpositions are their own representatives: all solved
         assert calls.count("eigvalsh") == sum(
             row["hermitian_case"] for row in report["scan"]["results"]

@@ -86,7 +86,7 @@ def test_trace_norm_triangle(a, b):
 )
 def test_complement_subsets_share_singular_spectra(re, im):
     rho = DensityMatrix(state_from(re, im), (2, 3))
-    for mask in enumerate_label_subsets(2, dedupe=True):
+    for mask in enumerate_label_subsets(2):
         s_y = singular_values(generalized_transpose(rho, mask))
         s_c = singular_values(generalized_transpose(rho, 0b1111 ^ mask))
         assert np.max(np.abs(s_y - s_c)) < 1e-10
