@@ -105,23 +105,6 @@ def load_matrix_file(path: str, scan: bool = False):
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != side:
         raise InvalidInputError(f"{path}: field 'matrix' must be a {side}x{side} array")
-    mat = _read_cells(path, rows, side)
-    name = data.get("name")
-    description = data.get("description")
-    for field, value in (("name", name), ("description", description)):
-        if value is not None and not isinstance(value, str):
-            raise InvalidInputError(f"{path}: field '{field}' must be a string")
-    return mat, tuple(dims), name, description
-
-
-def _read_cells(path: str, rows: list, side: int) -> np.ndarray:
-    """The ``side`` x ``side`` complex matrix of ``rows``, [re, im] pairs."""
-    try:  # a well-formed file: one exact type check, one conversion
-        cells = np.array(rows, dtype=object)
-        if cells.shape == (side, side, 2) and {*map(type, cells.ravel().tolist())} <= {int, float}:
-            return cells.astype(float).view(complex)[..., 0]
-    except (ValueError, OverflowError):
-        pass  # ragged, or a number too large: the loop below names the cell
     mat = np.zeros((side, side), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != side:
@@ -141,7 +124,12 @@ def _read_cells(path: str, rows: list, side: int) -> np.ndarray:
                 raise InvalidInputError(
                     f"{path}: matrix[{i}][{j}] holds a number too large for a double"
                 ) from None
-    return mat
+    name = data.get("name")
+    description = data.get("description")
+    for field, value in (("name", name), ("description", description)):
+        if value is not None and not isinstance(value, str):
+            raise InvalidInputError(f"{path}: field '{field}' must be a string")
+    return mat, tuple(dims), name, description
 
 
 def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None) -> None:

@@ -145,7 +145,8 @@ def horodecki_2x4(b: float) -> DensityMatrix:
     return DensityMatrix(mat / (7.0 * b + 1.0), (2, 4))
 
 
-# rng annotations are quoted: evaluated, they would import numpy.random at start-up
+# rng annotations are quoted: evaluated, they would import numpy.random at
+# start-up on numpy >= 2 (numpy 1.x imports it with numpy itself)
 def _random_pure_ket(d: int, rng: "np.random.Generator") -> np.ndarray:
     ket = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return ket / np.linalg.norm(ket)
