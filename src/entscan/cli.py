@@ -8,11 +8,12 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 2 = numerical failure or out of memory, 3 = entanglement certified
 (analyze only). The tolerances are fixed constants, listed in the analyze
 report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
-a state and exits 1, in analyze and norms alike. Specs and files are held to
-D <= MAX_KRON_DIM, and mixture terms and scan-family grid points to at most
-MAX_KRON_DIM, before anything is allocated; analyze also refuses a spec or
-file beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before building
-its state.
+a state and exits 1: analyze and norms read every row from
+``criteria.subset_table``, which refuses it before solving anything else.
+Specs and files are held to D <= MAX_KRON_DIM, and mixture terms and
+scan-family grid points to at most MAX_KRON_DIM, before anything is
+allocated; analyze also refuses a spec or file beyond the scan limit of
+MAX_SCAN_SUBSYSTEMS subsystems before building its state.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -23,19 +24,12 @@ import argparse
 import json
 import sys
 from functools import cache
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
 from . import __version__
-from .criteria import (
-    NORM_TOL,
-    Verdict,
-    _solver,
-    bipartite_cuts,
-    gpt_scan,
-    state_row,
-)
+from .criteria import NORM_TOL, Verdict, bipartite_cuts, gpt_scan, subset_table
 
 # The report reads these from the scan; kept in this namespace for callers
 # and tracing tools that look them up here.
@@ -189,7 +183,7 @@ def _subset_dict(res) -> dict:
     return {
         "labels": res.label_text(),
         "mask": res.mask,
-        "complement": format_label_set(res.complement_mask, res.n),
+        "complement": format_label_set(res.complement_mask, len(res.dims)),
         "shape": list(res.shape),
         "trace_norm": res.trace_norm,
         "hermitian_case": res.is_hermitian_case,
@@ -199,7 +193,8 @@ def _subset_dict(res) -> dict:
 
 
 def _subsystem_letters(res) -> str:
-    return "".join(subsystem_letter(k) for k in range(res.n) if res.mask >> (2 * k) & 3)
+    n = len(res.dims)
+    return "".join(subsystem_letter(k) for k in range(n) if res.mask >> (2 * k) & 3)
 
 
 def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dict:
@@ -362,9 +357,8 @@ def render_human_norms(report: dict) -> str:
 def cmd_norms(args) -> int:
     rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
     mask = parse_label_set(args.labels, len(rho.dims))
-    own = state_row(rho)  # refuses a non-state, as analyze does
-    # read from the class representative, like the scan: the analyze row bitwise
-    report = _subset_dict(_solver(rho, own)(mask))
+    # the scan's own table: refuses a non-state and prints the analyze row bitwise
+    report = _subset_dict(subset_table(rho)(mask))
     _emit(report, args.format, render_human_norms)
     return 0
 
@@ -399,6 +393,8 @@ def cmd_scan_family(args) -> int:
     lo, hi = float(args.min), float(args.max)
     if not lo < hi:
         raise InvalidInputError(f"need min < max, got [{lo}, {hi}]")
+    if not isfinite(hi - lo):  # an infinite end or width would make the grid nan
+        raise InvalidInputError(f"need a finite range, got [{lo}, {hi}]")
     points = int(args.grid)
     if points < 2:
         raise InvalidInputError(f"grid needs at least 2 points, got {points}")

@@ -2,7 +2,8 @@
 
 All criteria here are necessary conditions for separability: a violation
 certifies entanglement, while passing proves nothing, so the only negative
-verdict is UNDETECTED.
+verdict is UNDETECTED. Every criterion reads its rows from
+:func:`subset_table`, so each refuses input that is not a state.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +23,7 @@ from .reshape import (
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
 # It must exceed linalg.TRACE_TOL, so that the row of a state itself (mask 0)
-# never violates and gpt_scan's refusal fires only on non-states.
+# never violates and subset_table's refusal fires only on non-states.
 NORM_TOL = 1e-9
 
 
@@ -34,30 +35,41 @@ class Verdict(str, Enum):
 @dataclass(frozen=True)
 class SubsetResult:
     """Outcome of one reshaped-matrix evaluation: the transpose of the labels
-    in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of an ``n``-subsystem state."""
+    in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of a state with subsystem
+    dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
+    is set exactly for partial transpositions, the square Hermitian cases."""
 
     mask: int
-    n: int
+    dims: tuple[int, ...]
     trace_norm: float
-    shape: tuple[int, int]
-    is_hermitian_case: bool
     min_eigenvalue: float | None
-    violating: bool
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return transpose_shape(self.dims, self.mask)
+
+    @property
+    def is_hermitian_case(self) -> bool:
+        return self.min_eigenvalue is not None
+
+    @property
+    def violating(self) -> bool:
+        """The one violation rule of every criterion here."""
+        return self.trace_norm > 1.0 + NORM_TOL
 
     @property
     def complement_mask(self) -> int:
-        return ((1 << (2 * self.n)) - 1) ^ self.mask
+        return ((1 << (2 * len(self.dims))) - 1) ^ self.mask
 
     def label_text(self) -> str:
-        return format_label_set(self.mask, self.n)
+        return format_label_set(self.mask, len(self.dims))
 
-    def as_mask(self, mask: int, dims: tuple[int, ...]) -> "SubsetResult":
-        """This row read as ``mask``, any member of its symmetry class (see
-        :func:`_representative`): the solved values bitwise, the shape of
-        ``mask``'s own transpose."""
-        if mask == self.mask:
-            return self
-        return replace(self, mask=mask, shape=transpose_shape(dims, mask))
+
+def _excess(res: SubsetResult) -> float:
+    """(trace norm - 1) / 2, floored: exactly 0 unless ``res`` violates, so
+    rounding a few ulp past 1 on a separable state reads 0, not 1e-16. Both
+    E and the negativities read it."""
+    return (res.trace_norm - 1.0) / 2.0 if res.violating else 0.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +79,15 @@ class CriterionReport:
     dims: tuple[int, ...]
     results: tuple[SubsetResult, ...]
     argmax: SubsetResult
-    verdict: Verdict
-    measure_e: float
+
+    @property
+    def verdict(self) -> Verdict:
+        # the largest norm violates iff any row does
+        return Verdict.ENTANGLED_CERTIFIED if self.argmax.violating else Verdict.UNDETECTED
+
+    @property
+    def measure_e(self) -> float:
+        return _excess(self.argmax)
 
     @property
     def max_norm(self) -> float:
@@ -81,15 +100,13 @@ class CriterionReport:
 
     @property
     def negativity_per_subsystem(self) -> tuple[float, ...]:
-        return tuple(
-            _negativity(self.lookup(3 << (2 * k)).trace_norm)
-            for k in range(len(self.dims))
-        )
+        return tuple(_excess(self.lookup(3 << (2 * k))) for k in range(len(self.dims)))
 
     def lookup(self, mask: int) -> SubsetResult:
         """The result for ``mask``, read from its class representative's row."""
         # results index by mask, and every representative is below 2^(2n-1)
-        return self.results[_representative(mask, len(self.dims))].as_mask(mask, self.dims)
+        row = self.results[_representative(mask, len(self.dims))]
+        return row if row.mask == mask else replace(row, mask=mask)
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
@@ -100,43 +117,26 @@ class CriterionReport:
         return _realignment_rows(self.lookup, len(self.dims))
 
 
-def _hermitian_eigs(mat: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigensolver did not converge for {matrix_fingerprint(mat)}"
-        ) from exc
-
-
 def evaluate_subset(rho: DensityMatrix, mask: int) -> SubsetResult:
     """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
     the ``mask`` transpose, with one solver call."""
-    n = len(rho.dims)
     mat = generalized_transpose(rho, mask)
     # each subsystem flips both or neither of its labels: a partial
     # transposition, square and Hermitian on Hermitian input
-    hermitian_case = not (mask ^ (mask >> 1)) & (((1 << (2 * n)) - 1) // 3)
-    if hermitian_case:
-        eigs = _hermitian_eigs(mat)
-        norm = float(np.abs(eigs).sum())
-        min_eig = float(eigs.min())
-    else:
-        norm = trace_norm(mat)
-        min_eig = None
-    return SubsetResult(
-        mask, n, norm, mat.shape, hermitian_case, min_eig, norm > 1.0 + NORM_TOL
-    )
+    if not (mask ^ (mask >> 1)) & (((1 << (2 * len(rho.dims))) - 1) // 3):
+        try:
+            eigs = np.linalg.eigvalsh(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigensolver did not converge for {matrix_fingerprint(mat)}"
+            ) from exc
+        return SubsetResult(mask, rho.dims, float(np.abs(eigs).sum()), float(eigs.min()))
+    return SubsetResult(mask, rho.dims, trace_norm(mat), None)
 
 
 def _pt_mask(subsystems: int) -> int:
     """The mask transposing both labels of each subsystem bit set in ``subsystems``."""
     return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
-
-
-def _negativity(pt_norm: float) -> float:
-    # floored like E: at or below the violation threshold, rounding noise reads 0
-    return (pt_norm - 1.0) / 2.0 if pt_norm > 1.0 + NORM_TOL else 0.0
 
 
 def _representative(mask: int, n: int) -> int:
@@ -156,20 +156,35 @@ def _representative(mask: int, n: int) -> int:
     return min(mask, full ^ mask, swapped, full ^ swapped)
 
 
-def _solver(rho: DensityMatrix, *solved: SubsetResult):
-    """``mask -> SubsetResult`` reading ``mask`` from its class
-    representative, solved on first use (``solved`` rows are reused), so the
-    scan, standalone criteria and ``norms`` agree bitwise."""
-    n = len(rho.dims)
-    rows = {res.mask: res for res in solved}
+def subset_table(rho: DensityMatrix):
+    """``mask -> SubsetResult`` for any of the 4^n masks of ``rho``, the one
+    source of rows for the scan, the standalone criteria and ``norms``, so
+    they agree bitwise.
 
-    def result_for(mask: int) -> SubsetResult:
+    Solves mask 0 (the input itself) first and raises
+    :class:`InvalidInputError` when its trace norm exceeds 1 + ``NORM_TOL``:
+    on a state that norm is the trace, within TRACE_TOL < NORM_TOL of 1, so a
+    unit-trace matrix gets there only through negative eigenvalues. Each
+    symmetry class is then solved on first use, at its representative, and
+    every other member reads that row.
+    """
+    n = len(rho.dims)
+    own = evaluate_subset(rho, 0)
+    if own.violating:
+        raise InvalidInputError(
+            f"input is not positive semidefinite (trace norm {own.trace_norm!r} "
+            f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
+            "so it is not a state; refusing to certify entanglement"
+        )
+    rows = {0: own}
+
+    def row(mask: int) -> SubsetResult:
         rep = _representative(mask, n)
         if rep not in rows:
             rows[rep] = evaluate_subset(rho, rep)
-        return rows[rep].as_mask(mask, rho.dims)
+        return rows[rep] if mask == rep else replace(rows[rep], mask=mask)
 
-    return result_for
+    return row
 
 
 def _ppt_rows(result_for, n: int) -> list[SubsetResult]:
@@ -185,7 +200,7 @@ def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
     1 + ``NORM_TOL``; on a state that is a negative eigenvalue, which
     ``min_eigenvalue`` reports.
     """
-    return _ppt_rows(_solver(rho), len(rho.dims))
+    return _ppt_rows(subset_table(rho), len(rho.dims))
 
 
 def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -221,7 +236,7 @@ def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:
     """
     if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    return _realignment_rows(_solver(rho), len(rho.dims))
+    return _realignment_rows(subset_table(rho), len(rho.dims))
 
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
@@ -233,22 +248,7 @@ def negativity(rho: DensityMatrix, subsystem: int) -> float:
     k, n = int(subsystem), len(rho.dims)
     if not 0 <= k < n:
         raise InvalidInputError(f"subsystem {k} out of range for {n} subsystems")
-    return _negativity(_solver(rho)(3 << (2 * k)).trace_norm)
-
-
-def state_row(rho: DensityMatrix) -> SubsetResult:
-    """The mask-0 row (the input itself). Raises :class:`InvalidInputError`
-    when its trace norm exceeds 1 + ``NORM_TOL``: a unit-trace matrix can only
-    get there through negative eigenvalues, so it is not a state."""
-    # on a state the trace norm is the trace, within TRACE_TOL < NORM_TOL of 1
-    own = evaluate_subset(rho, 0)
-    if own.violating:
-        raise InvalidInputError(
-            f"input is not positive semidefinite (trace norm {own.trace_norm!r} "
-            f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
-            "so it is not a state; refusing to certify entanglement"
-        )
-    return own
+    return _excess(subset_table(rho)(3 << (2 * k)))
 
 
 def gpt_scan(rho: DensityMatrix) -> CriterionReport:
@@ -261,23 +261,12 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Refuses input
-    that is not a state, through :func:`state_row`, before solving the rest.
+    that is not a state, through :func:`subset_table`, before solving the rest.
     """
     masks = enumerate_label_subsets(len(rho.dims))
-    own = state_row(rho)
-    results = (own, *map(_solver(rho, own), masks[1:]))
+    results = tuple(map(subset_table(rho), masks))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
-    violating = any(res.violating for res in results)
-    # Below the violation threshold the measure is exactly zero: rounding can
-    # push the largest norm a few ulp past 1 on separable states, and those
-    # must report E = 0, not 1e-16.
-    return CriterionReport(
-        dims=rho.dims,
-        results=results,
-        argmax=best,
-        verdict=Verdict.ENTANGLED_CERTIFIED if violating else Verdict.UNDETECTED,
-        measure_e=(best.trace_norm - 1.0) / 2.0 if violating else 0.0,
-    )
+    return CriterionReport(rho.dims, results, best)
 
 
 def measure_e(rho: DensityMatrix) -> float:

@@ -123,9 +123,9 @@ class DensityMatrix:
     Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
     symmetries are exact on it. :meth:`hermiticity_residual` still reports
     the input's residual. Positivity is *not* checked here, since states read
-    from files often carry rounding-scale negative eigenvalues: the scan
-    judges it from its mask-0 row (``criteria.state_row``), which refuses
-    input whose trace norm exceeds 1 + ``NORM_TOL``.
+    from files often carry rounding-scale negative eigenvalues: every
+    criterion judges it from the mask-0 row of ``criteria.subset_table``,
+    which refuses input whose trace norm exceeds 1 + ``NORM_TOL``.
     """
 
     mat: np.ndarray

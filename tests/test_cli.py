@@ -91,10 +91,11 @@ class TestAnalyze:
         mat = np.diag([0.6, 0.5, -0.1, 0.0])
         data = {"dims": [2, 2], "matrix": [[[v.real, v.imag] for v in row] for row in mat.astype(complex)]}
         path.write_text(json.dumps(data))
-        # not a state, so never certified
-        code, _, err = run(capsys, "analyze", str(path))
-        assert code == 1
-        assert "positive semidefinite" in err
+        # not a state, so never certified, nor given a norm
+        for command, *labels in (["analyze"], ["norms", ""], ["norms", "rA,cA"]):
+            code, _, err = run(capsys, command, str(path), *labels)
+            assert code == 1
+            assert "positive semidefinite" in err
 
     @staticmethod
     def _diag_file(tmp_path, negative):
@@ -376,6 +377,17 @@ class TestScanFamily:
         code, _, err = run(capsys, "scan-family", "werner", "--min", "1", "--max", "0")
         assert code == 1
         assert "min < max" in err
+
+    @pytest.mark.parametrize(
+        "lo, hi, shown", [("0", "inf", "[0.0, inf]"), ("-1e308", "1e308", "[-1e+308, 1e+308]")]
+    )
+    def test_non_finite_range_is_named(self, capsys, lo, hi, shown):
+        # an infinite end, or a width that overflows, would turn the grid into nan
+        code, out, err = run(capsys, "scan-family", "werner", f"--min={lo}", f"--max={hi}")
+        assert code == 1
+        assert out == ""
+        assert f"need a finite range, got {shown}" in err
+        assert "nan" not in err
 
 
 class TestGenerate:

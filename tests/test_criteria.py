@@ -27,7 +27,7 @@ from entscan import (
     werner_state,
 )
 from entscan.cli import build_analyze_report
-from entscan.criteria import _representative
+from entscan.criteria import _representative, subset_table
 from entscan.linalg import TRACE_TOL
 
 from reference import (
@@ -185,6 +185,28 @@ class TestGptScan:
             gpt_scan(rho)
         with pytest.raises(InvalidInputError, match="not positive semidefinite"):
             measure_e(rho)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            gpt_scan,
+            measure_e,
+            ppt_criterion,
+            realignment_criterion,
+            lambda rho: negativity(rho, 0),
+            lambda rho: negativity(rho, 1),
+            lambda rho: subset_table(rho)(6),
+        ],
+        ids=["gpt_scan", "measure_e", "ppt", "realignment", "negativity0", "negativity1",
+             "subset_table"],
+    )
+    def test_every_entry_point_refuses_a_matrix_that_is_not_psd(self, entry):
+        # eigenvalue -0.1: trace norm 1.2 at mask 0; a partial transpose of
+        # this diagonal matrix is the matrix itself, so unrefused, its PPT row
+        # would "violate" and its negativities read 0.1
+        rho = DensityMatrix(np.diag([0.6, 0.5, -0.1, 0.0]), (2, 2))
+        with pytest.raises(InvalidInputError, match="not positive semidefinite"):
+            entry(rho)
 
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds

@@ -17,7 +17,7 @@ from entscan import (
     singular_values,
     trace_norm,
 )
-from entscan.criteria import state_row
+from entscan.criteria import subset_table
 
 from reference import naive_trace_norm, random_local_unitary, random_state, vec
 
@@ -266,8 +266,8 @@ class TestDensityMatrix:
         rho = DensityMatrix(mat, (2, 2))
         assert np.linalg.eigvalsh(rho.mat).min() < -1e-3
         with pytest.raises(InvalidInputError, match="positive semidefinite"):
-            state_row(rho)
+            subset_table(rho)
 
     def test_psd_check_tolerates_rounding(self):
         mat = np.diag([0.5, 0.5, 1e-12, -1e-12]).astype(complex)
-        assert not state_row(DensityMatrix(mat, (2, 2))).violating
+        assert not subset_table(DensityMatrix(mat, (2, 2)))(0).violating
