@@ -126,7 +126,7 @@ def load_matrix_file(path: str, scan: bool = False):
     return mat, tuple(dims), name, description
 
 
-def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None) -> None:
+def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
     data = {
         "dims": list(rho.dims),
         "matrix": [
@@ -135,8 +135,6 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None)
     }
     if name is not None:
         data["name"] = name
-    if description is not None:
-        data["description"] = description
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=1)
@@ -145,7 +143,7 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None, description=None)
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_input(text: str, normalize: bool, seed: int, scan: bool = False):
+def _resolve_input(text: str, normalize: bool, scan: bool = False):
     """Interpret ``text`` as an existing matrix file, else as a state spec.
 
     With ``scan`` a file or spec beyond the scan limit is refused before its
@@ -158,7 +156,7 @@ def _resolve_input(text: str, normalize: bool, seed: int, scan: bool = False):
         rho = density_matrix(mat, dims, normalize=normalize)
         return rho, (name or ""), normalize
     try:
-        spec = parse_state_spec(text, default_seed=seed)
+        spec = parse_state_spec(text)
     except InvalidInputError as exc:
         raise InvalidInputError(
             f"input {text!r} is neither an existing file nor a state spec ({exc})"
@@ -242,12 +240,6 @@ def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dic
     }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def render_human_analyze(report: dict) -> str:
     lines = []
     tool = report["tool"]
@@ -257,10 +249,10 @@ def render_human_analyze(report: dict) -> str:
         "input: {}  dims {}  trace {}{}{}j  herm residual {}".format(
             inp["name"] or "(unnamed)",
             "x".join(str(d) for d in inp["dims"]),
-            _fmt(inp["trace_re"]),
+            repr(inp["trace_re"]),
             "+" if inp["trace_im"] >= 0 else "-",
-            _fmt(abs(inp["trace_im"])),
-            _fmt(inp["hermiticity_residual"]),
+            repr(abs(inp["trace_im"])),
+            repr(inp["hermiticity_residual"]),
         )
     )
     if inp.get("normalized"):
@@ -268,7 +260,7 @@ def render_human_analyze(report: dict) -> str:
     tol = report["tolerances"]
     lines.append(
         "tolerances: norm_tol {}  trace_tol {}".format(
-            _fmt(tol["norm_tol"]), _fmt(tol["trace_tol"])
+            repr(tol["norm_tol"]), repr(tol["trace_tol"])
         )
     )
     lines.append("")
@@ -278,8 +270,8 @@ def render_human_analyze(report: dict) -> str:
     for row in report["ppt"]["results"]:
         lines.append(
             "  X={{{}}}  min eig {}  trace norm {}  {}".format(
-                row["subsystems"], _fmt(row["min_eigenvalue"]),
-                _fmt(row["trace_norm"]),
+                row["subsystems"], repr(row["min_eigenvalue"]),
+                repr(row["trace_norm"]),
                 "VIOLATION" if row["violating"] else "ok",
             )
         )
@@ -290,7 +282,7 @@ def render_human_analyze(report: dict) -> str:
         lines.append(
             "  {}  shape {}x{}  trace norm {}  {}".format(
                 row["cut"], row["shape"][0], row["shape"][1],
-                _fmt(row["trace_norm"]),
+                repr(row["trace_norm"]),
                 "VIOLATION" if row["violating"] else "ok",
             )
         )
@@ -302,26 +294,26 @@ def render_human_analyze(report: dict) -> str:
     )
     for row in scan["results"]:
         mineig = (
-            f"  min eig {_fmt(row['min_eigenvalue'])}"
+            f"  min eig {row['min_eigenvalue']!r}"
             if row["min_eigenvalue"] is not None
             else ""
         )
         lines.append(
             "  [{:>4}] {{{}}}  shape {}x{}  trace norm {}{}  {}".format(
                 row["mask"], row["labels"], row["shape"][0], row["shape"][1],
-                _fmt(row["trace_norm"]), mineig,
+                repr(row["trace_norm"]), mineig,
                 "VIOLATION" if row["violating"] else "ok",
             )
         )
     lines.append(
-        "max norm {} at {{{}}}".format(_fmt(scan["max_norm"]), scan["argmax_labels"])
+        "max norm {} at {{{}}}".format(repr(scan["max_norm"]), scan["argmax_labels"])
     )
     lines.append("")
     lines.append(f"verdict: {report['verdict']}")
-    lines.append(f"E = {_fmt(report['measure_e'])}")
+    lines.append(f"E = {report['measure_e']!r}")
     lines.append(
         "negativity per subsystem: [{}]".format(
-            ", ".join(_fmt(v) for v in report["negativity_per_subsystem"])
+            ", ".join(repr(v) for v in report["negativity_per_subsystem"])
         )
     )
     return "\n".join(lines) + "\n"
@@ -338,7 +330,7 @@ def _emit(report: dict, fmt: str, human_renderer) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    rho, name, normalized = _resolve_input(args.input, args.normalize, args.seed, scan=True)
+    rho, name, normalized = _resolve_input(args.input, args.normalize, scan=True)
     report = build_analyze_report(rho, name, normalized)
     _emit(report, args.format, render_human_analyze)
     return 3 if report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value else 0
@@ -348,14 +340,14 @@ def render_human_norms(report: dict) -> str:
     return (
         "labels {{{}}}  shape {}x{}  trace norm {}{}\n".format(
             report["labels"], report["shape"][0], report["shape"][1],
-            _fmt(report["trace_norm"]),
+            repr(report["trace_norm"]),
             "  VIOLATION" if report["violating"] else "",
         )
     )
 
 
 def cmd_norms(args) -> int:
-    rho, _, _ = _resolve_input(args.input, args.normalize, args.seed)
+    rho, _, _ = _resolve_input(args.input, args.normalize)
     mask = parse_label_set(args.labels, len(rho.dims))
     # the scan's own table: refuses a non-state and prints the analyze row bitwise
     report = _subset_dict(subset_table(rho)(mask))
@@ -366,14 +358,14 @@ def cmd_norms(args) -> int:
 def render_human_scan_family(report: dict) -> str:
     lines = [
         "threshold scan: {} over [{}, {}] ({} grid points)".format(
-            report["family"], _fmt(report["param_min"]), _fmt(report["param_max"]),
+            report["family"], repr(report["param_min"]), repr(report["param_max"]),
             report["grid_points"],
         )
     ]
     for row in report["grid"]:
         lines.append(
             "  param {}  max norm {}  {}".format(
-                _fmt(row["param"]), _fmt(row["max_norm"]),
+                repr(row["param"]), repr(row["max_norm"]),
                 "VIOLATION" if row["violating"] else "ok",
             )
         )
@@ -381,7 +373,7 @@ def render_human_scan_family(report: dict) -> str:
     if report["threshold"] is not None:
         lines.append(
             "threshold: {} (+/- {})  first violating subset: {{{}}}".format(
-                _fmt(report["threshold"]), _fmt(report["param_tol"]),
+                repr(report["threshold"]), repr(report["param_tol"]),
                 report["first_violating_labels"],
             )
         )
@@ -419,11 +411,9 @@ def cmd_scan_family(args) -> int:
 
     threshold = None
     first_labels = None
-    if left is None:
-        if all(row["violating"] for row in grid_rows):
+    if left is None:  # every grid point has the first one's verdict
+        if grid_rows[0]["violating"]:
             message = "no threshold in range (every sampled parameter violates)"
-        elif any(row["violating"] for row in grid_rows):
-            message = "no threshold in range (no sign change between adjacent grid points)"
         else:
             message = "no threshold in range"
     else:
@@ -460,7 +450,7 @@ def cmd_scan_family(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = parse_state_spec(args.spec, default_seed=args.seed)
+    spec = parse_state_spec(args.spec)
     rho = generate(spec)
     save_matrix_file(args.output, rho, name=spec_text(spec))
     sys.stdout.write(
@@ -489,8 +479,6 @@ def _add_state_input(sub) -> None:
     sub.add_argument("input", help="matrix file path or state spec text")
     sub.add_argument("--normalize", action="store_true",
                      help="divide by the trace when |tr - 1| <= 1e-3")
-    sub.add_argument("--seed", type=int, default=0, metavar="S",
-                     help="seed for seeded state specs that omit one, default %(default)s")
     _add_format(sub)
 
 
@@ -532,8 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                           epilog=f"state specs: {family_help()}")
     gen.add_argument("spec", help="state spec text")
     gen.add_argument("output", help="output file path")
-    gen.add_argument("--seed", type=int, default=0, metavar="S",
-                     help="seed for seeded specs that omit one, default %(default)s")
     return parser
 
 

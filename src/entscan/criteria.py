@@ -148,9 +148,12 @@ def _representative(mask: int, n: int) -> int:
     rho^T = conj(rho); the M transpose of rho^T is, up to row and column
     order, the comp swap M transpose of rho, and conjugation keeps singular
     values. So all four share one singular spectrum. DensityMatrix holds rho
-    bitwise Hermitian, so this is exact, not approximate.
+    bitwise Hermitian, so this is exact, not approximate. Raises
+    :class:`InvalidInputError` unless ``mask`` is one of the 4^n masks.
     """
     full = (1 << (2 * n)) - 1
+    if not 0 <= mask <= full:
+        raise InvalidInputError(f"mask {mask} out of range [0, {full + 1}) for {n} subsystems")
     r_bits = full // 3
     swapped = ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
     return min(mask, full ^ mask, swapped, full ^ swapped)

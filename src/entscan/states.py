@@ -193,8 +193,6 @@ def separable_mixture(dims, terms: int, seed: int = 0) -> DensityMatrix:
 
 def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Random density matrix G G^dag / tr(G G^dag) with G a D x rank Gaussian."""
-    if isinstance(dims, int):
-        dims = (dims,)
     dims = tuple(int(d) for d in dims)
     side = prod(dims)
     rank = side if rank is None else int(rank)
@@ -261,22 +259,19 @@ def _parse_count(token: str, what: str) -> int:
     return n
 
 
-def _check_seed(seed: int, what: str) -> int:
+def _parse_seed(token: str, what: str) -> int:
+    seed = _parse_int(token, what)
     # numpy's default_rng takes only non-negative seeds
     if seed < 0:
         raise InvalidInputError(f"bad {what} {seed}: must be a non-negative integer")
     return seed
 
 
-def _parse_seed(token: str, what: str) -> int:
-    return _check_seed(_parse_int(token, what), what)
-
-
 _DIMS = (_parse_dims, "dims")
 _SEED = (_parse_seed, "seed")
 
 # family -> (generator, its parameters in call order as (parser, name), usage).
-# A trailing seed may be omitted; it then falls back to the default seed.
+# A trailing seed may be omitted; it is then 0.
 _FAMILIES = {
     "bell": (bell_state, ((_parse_lower, "kind"),), "bell:phi+|phi-|psi+|psi-"),
     "ghz": (ghz_state, ((_parse_qubits, "qubit count"),), "ghz:N (N qubits)"),
@@ -317,11 +312,11 @@ def _parse_params(params, tokens) -> tuple:
     return tuple(parse(token, what) for (parse, what), token in zip(params, tokens))
 
 
-def parse_state_spec(text: str, default_seed: int = 0) -> StateSpec:
+def parse_state_spec(text: str) -> StateSpec:
     """Parse ``family:param1[,param2...]`` into a :class:`StateSpec`.
 
-    Seeded families fall back to ``default_seed`` when the trailing seed is
-    omitted, keeping generation deterministic either way.
+    A seeded family whose trailing seed is omitted gets seed 0, so the spec
+    always names one state; :func:`spec_text` prints the seed filled in.
     """
     family, tokens = _split_spec(text)
     if family not in _FAMILIES:
@@ -337,8 +332,7 @@ def parse_state_spec(text: str, default_seed: int = 0) -> StateSpec:
             + (f"-{max_p}" if max_p != min_p else "")
             + f" parameter(s), got {len(tokens)} (usage: {usage})"
         )
-    # only a trailing seed can be missing; checked only when it is filled in
-    seed = (_check_seed(int(default_seed), "default seed"),) if len(tokens) < max_p else ()
+    seed = (0,) if len(tokens) < max_p else ()  # only a trailing seed can be missing
     return StateSpec(family, _parse_params(params, tokens) + seed)
 
 
@@ -386,8 +380,9 @@ def spec_text(spec: StateSpec) -> str:
     return f"{spec.family}:{','.join(_value_text(v) for v in spec.params)}"
 
 
-def generate(spec, default_seed: int = 0) -> DensityMatrix:
-    """Generate the density matrix described by a spec or spec text."""
+def generate(spec) -> DensityMatrix:
+    """Generate the density matrix described by a spec or spec text (an
+    omitted trailing seed is 0, as in :func:`parse_state_spec`)."""
     if isinstance(spec, str):
-        spec = parse_state_spec(spec, default_seed=default_seed)
+        spec = parse_state_spec(spec)
     return _FAMILIES[spec.family][0](*spec.params)

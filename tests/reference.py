@@ -62,6 +62,27 @@ def naive_generalized_transpose(mat, dims, flips, c_slower=True, ascending=True)
     return out
 
 
+def naive_witness(mat, dims, flips):
+    """Entanglement witness W = I - (Y + Y^dag) / 2 of one label subset.
+
+    A is the ``flips`` transpose of ``mat``, taken through the placement map
+    that ``naive_generalized_transpose`` gives on a matrix of entry indices.
+    With A = U S V^dag and X = U V^dag, Y is the D x D matrix that the same
+    placement sends to X, so tr(Y^dag mat) = tr(X^dag A) = ||A||_1 and, for
+    unit-trace Hermitian ``mat``, tr(W mat) = 1 - ||A||_1. For a product
+    state sigma, |tr(X^dag A(sigma))| <= ||A(sigma)||_1 <= 1, so
+    tr(W sigma) >= 0, and by linearity on every separable state.
+    """
+    side = mat.shape[0]
+    index = np.arange(side * side, dtype=float).reshape(side, side)
+    placement = naive_generalized_transpose(index, dims, flips).real.astype(np.int64)
+    u, _, vh = np.linalg.svd(mat.reshape(-1)[placement], full_matrices=False)
+    y = np.zeros(side * side, dtype=complex)
+    y[placement] = u @ vh
+    y = y.reshape(side, side)
+    return np.eye(side) - (y + y.conj().T) / 2
+
+
 def naive_realign(mat, dims):
     """Realignment straight from the block rule: row (J*m + I) holds the
     column-stacking of block (I, J)."""

@@ -165,6 +165,16 @@ class TestAnalyze:
         assert out == ""
         assert "-0.5" in err and "not a state" in err
 
+    def test_eigensolver_failure_exits_2(self, capsys, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        code, out, err = run(capsys, "analyze", "bell:psi-")
+        assert code == 2
+        assert out == ""
+        assert "eigensolver did not converge" in err
+
     def test_bad_spec_and_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "nosuchfamily:1")
         assert code == 1
@@ -212,8 +222,10 @@ class TestAnalyze:
             (b'{"dims":[1],"matrix":[[[1' + b"0" * 5000 + b',0]]]}', "unreadable JSON"),
             (b'{"name":"\xff","dims":[1],"matrix":[[[1,0]]]}', "can't decode"),
             (b"[" * 100000, "unreadable JSON"),  # RecursionError
+            (b'{"dims":[2],"matrix":[[[1,0],[0,0]],[[0,0]]]}', "matrix[1] must have 2 entries"),
+            (b'{"name":5,"dims":[1],"matrix":[[[1,0]]]}', "field 'name' must be a string"),
         ],
-        ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting"],
+        ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting", "short-row", "numeric-name"],
     )
     def test_unparseable_files_exit_1(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.json"
@@ -312,6 +324,24 @@ class TestScanFamily:
         assert "no threshold in range" in report["message"]
         assert all(not row["violating"] for row in report["grid"])
 
+    def test_every_point_violating_has_no_threshold(self, capsys):
+        # the 3x3 bound entangled family is entangled on the whole open interval
+        code, report, _ = run_json(
+            capsys, "scan-family", "horodecki3x3", "--min", "0.1", "--max", "0.9"
+        )
+        assert code == 0
+        assert report["threshold"] is None
+        assert report["message"] == "no threshold in range (every sampled parameter violates)"
+        assert all(row["violating"] for row in report["grid"])
+
+    def test_single_grid_point_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "scan-family", "werner", "--min", "0", "--max", "1", "--grid", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "grid needs at least 2 points, got 1" in err
+
     def test_family_without_free_parameter_rejected(self, capsys):
         code, _, err = run(capsys, "scan-family", "ghz", "--min", "0", "--max", "1")
         assert code == 1
@@ -405,6 +435,14 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "werner:2.0", str(tmp_path / "x.json"))
         assert code == 1
         assert "[0, 1]" in err
+
+    def test_unwritable_path_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "ghz.json"
+        code, out, err = run(capsys, "generate", "ghz:3", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"cannot write {path}" in err
+        assert not path.parent.exists()
 
     def test_file_loads_bitwise_equal_to_its_cells(self, tmp_path):
         # ints, floats, signed zeros and subnormals, as json writes them
@@ -505,11 +543,11 @@ class TestArgumentHandling:
         out = capsys.readouterr().out
         assert "analyze" in out and "scan-family" in out
 
-    def test_seed_flag_fills_missing_seed(self, capsys):
-        _, with_flag, _ = run_json(capsys, "analyze", "sepmix:2x2,3", "--seed", "5")
-        _, explicit, _ = run_json(capsys, "analyze", "sepmix:2x2,3,5")
-        assert with_flag == explicit
-        assert with_flag["input"]["name"] == "sepmix:2x2,3,5"
+    def test_omitted_seed_is_0(self, capsys):
+        _, omitted, _ = run_json(capsys, "analyze", "sepmix:2x2,3")
+        _, explicit, _ = run_json(capsys, "analyze", "sepmix:2x2,3,0")
+        assert omitted == explicit
+        assert omitted["input"]["name"] == "sepmix:2x2,3,0"
 
     @pytest.mark.parametrize(
         "argv",
@@ -517,22 +555,18 @@ class TestArgumentHandling:
             ["analyze", "productrandom:2x2,-1"],
             ["analyze", "randomdm:2x2,2,-1"],
             ["analyze", "sepmix:2x2,3,-5"],
-            ["analyze", "productrandom:2x2", "--seed", "-1"],
-            ["norms", "randomdm:2x2,2", "cA", "--seed", "-3"],
-            ["generate", "sepmix:2x2,3", "never-written.json", "--seed", "-1"],
+            ["analyze", "productrandom:2x2,-99999999999999999999"],
+            ["norms", "randomdm:2x2,2,-3", "cA"],
+            ["generate", "sepmix:2x2,3,-1", "never-written.json"],
         ],
     )
-    def test_negative_seed_exits_1(self, capsys, argv):
+    def test_negative_seed_exits_1(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "must be a non-negative integer" in err
         assert not os.path.exists("never-written.json")
-
-    def test_unused_negative_seed_flag_is_ignored(self, capsys):
-        # only a seed that is filled in is checked
-        assert run(capsys, "analyze", "productrandom:2x2,4", "--seed", "-1")[0] == 0
-        assert run(capsys, "analyze", "bell:psi-", "--seed", "-1")[0] == 3
 
     @pytest.mark.parametrize(
         "argv",
@@ -546,13 +580,19 @@ class TestArgumentHandling:
             ["scan-family", "werner", "--min", "0", "--max", "1", "--normalize"],
             ["scan-family", "werner", "--min", "0", "--max", "1", "--seed", "3"],
             ["scan-family", "werner", "--min", "0", "--max", "1", "--tol-norm", "nan"],
+            # a seeded spec carries its own seed
+            ["analyze", "sepmix:2x2,3", "--seed", "5"],
+            ["norms", "randomdm:2x2,2", "cA", "--seed", "3"],
+            ["generate", "sepmix:2x2,3", "never-written.json", "--seed", "0"],
         ],
     )
-    def test_tuning_flags_are_unknown_arguments(self, capsys, argv):
+    def test_tuning_flags_are_unknown_arguments(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert "unrecognized arguments" in err
+        assert not os.path.exists("never-written.json")
 
     def test_max_n_limit_is_enforced(self, capsys):
         code, _, err = run(capsys, "analyze", "ghz:7")

@@ -13,6 +13,7 @@ from entscan import (
     evaluate_subset,
     format_label_set,
     generalized_transpose,
+    generate,
     ghz_state,
     gpt_scan,
     horodecki_3x3,
@@ -35,6 +36,7 @@ from reference import (
     naive_generalized_transpose,
     naive_realign,
     naive_trace_norm,
+    naive_witness,
     random_local_unitary,
     random_state,
 )
@@ -364,6 +366,15 @@ class TestMaskEngine:
             assert res.shape == generalized_transpose(rho, mask).shape
             assert abs(res.trace_norm - evaluate_subset(rho, mask).trace_norm) <= 1e-12
 
+    @pytest.mark.parametrize("mask", [16, 100, -1])
+    def test_mask_outside_the_table_is_refused(self, mask):
+        # two subsystems have the 16 masks 0..15; both entry points refuse
+        # any other, naming the mask they were given
+        rho = bell_state("psi-")
+        for read in (subset_table(rho), gpt_scan(rho).lookup):
+            with pytest.raises(InvalidInputError, match=rf"^mask {mask} out of range \[0, 16\)"):
+                read(mask)
+
     @pytest.mark.parametrize(
         "rho",
         [
@@ -483,3 +494,28 @@ class TestSymmetryClasses:
         rho = DensityMatrix(mat, (2, 3, 2))
         assert np.array_equal(rho.mat, rho.mat.conj().T)
         assert rho.hermiticity_residual() == float(np.abs(mat - mat.conj().T).max()) > 0
+
+
+class TestWitness:
+    """The dual form of a violation: the witness of ``reference.naive_witness``
+    at the scan's argmax row checks the certificate without the scan's SVD."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["bell:psi-", "werner:0.5", "isotropic:3,0.4", "horodecki3x3:0.5", "ghz:3", "w:3",
+         "randomdm:3x3,2,1"],
+    )
+    def test_argmax_witness_separates_the_state_from_product_states(self, spec):
+        rho = generate(spec)
+        scan = gpt_scan(rho)
+        flips = all_flip_sets(len(rho.dims))[scan.argmax.mask][1]
+        w = naive_witness(rho.mat, rho.dims, flips)
+        assert np.array_equal(w, w.conj().T)
+        value = np.trace(w @ rho.mat)
+        assert abs(value.imag) <= 1e-12
+        assert value.real < 0
+        assert abs(value.real - (1 - scan.max_norm)) <= 1e-12
+        dims = "x".join(map(str, rho.dims))
+        for seed in range(200):
+            sigma = generate(f"productrandom:{dims},{seed}").mat
+            assert np.trace(w @ sigma).real >= -1e-12, seed

@@ -118,6 +118,11 @@ def test_singular_values_rejects_non_finite():
         singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_singular_values_rejects_non_matrix():
+    with pytest.raises(InvalidInputError, match=r"must be 2-dimensional, got shape \(3,\)"):
+        singular_values(np.ones(3))
+
+
 @pytest.mark.parametrize("shape, bad", [((16, 256), np.nan), ((16, 256), np.inf)])
 def test_singular_values_rejects_non_finite_large(shape, bad):
     a = np.eye(*shape)
@@ -240,6 +245,10 @@ class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidInputError, match="trace"):
             DensityMatrix(np.eye(4) / 5, (2, 2))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(InvalidInputError, match="must be square"):
+            DensityMatrix(np.ones((2, 3)) / 2, (2,))
 
     def test_rejects_dims_mismatch(self):
         with pytest.raises(InvalidInputError, match="dims"):

@@ -257,6 +257,10 @@ class TestPartialTranspose:
         with pytest.raises(InvalidInputError, match="non-empty"):
             partial_transpose(bell_state("phi+"), [])
 
+    def test_out_of_range_subsystem_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"\[2\] out of range for 2 subsystems"):
+            partial_transpose(bell_state("phi+"), [2])
+
 
 class TestCutAndRealign:
     """Realignment across the cuts of a multipartite state, as the rows of

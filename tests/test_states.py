@@ -219,13 +219,16 @@ class TestSpecText:
         assert spec_text(spec) == "werner:0.25"
 
     def test_seed_default_applies(self):
-        spec = parse_state_spec("sepmix:2x2,4", default_seed=7)
-        assert spec.params == ((2, 2), 4, 7)
-        assert spec_text(spec) == "sepmix:2x2,4,7"
+        # an omitted trailing seed is 0, and the canonical text prints it
+        spec = parse_state_spec("sepmix:2x2,4")
+        assert spec.params == ((2, 2), 4, 0)
+        assert spec_text(spec) == "sepmix:2x2,4,0"
+        assert np.array_equal(generate("sepmix:2x2,4").mat, generate("sepmix:2x2,4,0").mat)
 
     def test_explicit_seed_wins(self):
-        spec = parse_state_spec("sepmix:2x2,4,42", default_seed=7)
+        spec = parse_state_spec("sepmix:2x2,4,42")
         assert spec.params[-1] == 42
+        assert spec_text(spec) == "sepmix:2x2,4,42"
 
     def test_unknown_family(self):
         with pytest.raises(InvalidInputError, match="unknown state family"):
@@ -276,6 +279,15 @@ class TestSpecText:
     def test_out_of_range_parameter(self):
         with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
             generate("werner:1.5")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("ghz:1", "GHZ needs at least 2 qubits, got 1"),
+         ("isotropic:3,1.5", r"fidelity must lie in \[0, 1\], got 1.5")],
+    )
+    def test_generator_refuses_a_parameter_out_of_its_range(self, spec, message):
+        with pytest.raises(InvalidInputError, match=message):
+            generate(spec)
 
     def test_generate_accepts_spec_objects(self):
         spec = parse_state_spec("ghz:3")
