@@ -68,7 +68,7 @@ def _is_number(value, types) -> bool:
 def load_matrix_file(path: str, scan: bool = False):
     """Read a matrix file: dims, D x D entries as [re, im] pairs, metadata.
 
-    Returns ``(matrix, dims, name, description)``; raises
+    Returns ``(matrix, dims, name)``; raises
     :class:`InvalidInputError` with the offending line or field on any
     malformed content. With ``scan`` a file beyond the scan limit is refused
     as soon as its ``dims`` are read, before the matrix is built.
@@ -123,7 +123,7 @@ def load_matrix_file(path: str, scan: bool = False):
     for field, value in (("name", name), ("description", description)):
         if value is not None and not isinstance(value, str):
             raise InvalidInputError(f"{path}: field '{field}' must be a string")
-    return mat, tuple(dims), name, description
+    return mat, tuple(dims), name
 
 
 def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
@@ -152,7 +152,7 @@ def _resolve_input(text: str, normalize: bool, scan: bool = False):
     import os
 
     if os.path.exists(text):
-        mat, dims, name, _ = load_matrix_file(text, scan=scan)
+        mat, dims, name = load_matrix_file(text, scan=scan)
         rho = density_matrix(mat, dims, normalize=normalize)
         return rho, (name or ""), normalize
     try:
@@ -167,15 +167,6 @@ def _resolve_input(text: str, normalize: bool, scan: bool = False):
 
 
 # --- report assembly --------------------------------------------------------
-
-def _tolerances() -> dict:
-    return {
-        "hermiticity_tol_scale": HERM_TOL_SCALE,
-        "trace_tol": TRACE_TOL,
-        "normalize_max_deviation": NORMALIZE_MAX_DEV,
-        "norm_tol": NORM_TOL,
-    }
-
 
 def _subset_dict(res) -> dict:
     return {
@@ -206,14 +197,13 @@ def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dic
         row["subsystems"] = _subsystem_letters(res)
         ppt_rows.append(row)
     realignment_rows = []
-    if n >= 2:
-        for cut, res in zip(bipartite_cuts(n), scan.realignment_results()):
-            row = _subset_dict(res)
-            row["cut"] = "{}|{}".format(
-                "".join(subsystem_letter(k) for k in cut[0]),
-                "".join(subsystem_letter(k) for k in cut[1]),
-            )
-            realignment_rows.append(row)
+    for cut, res in zip(bipartite_cuts(n), scan.realignment_results()):
+        row = _subset_dict(res)
+        row["cut"] = "{}|{}".format(
+            "".join(subsystem_letter(k) for k in cut[0]),
+            "".join(subsystem_letter(k) for k in cut[1]),
+        )
+        realignment_rows.append(row)
     return {
         "tool": {"name": "entscan", "version": __version__},
         "input": {
@@ -224,7 +214,12 @@ def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dic
             "hermiticity_residual": rho.hermiticity_residual(),
             "normalized": normalized,
         },
-        "tolerances": _tolerances(),
+        "tolerances": {
+            "hermiticity_tol_scale": HERM_TOL_SCALE,
+            "trace_tol": TRACE_TOL,
+            "normalize_max_deviation": NORMALIZE_MAX_DEV,
+            "norm_tol": NORM_TOL,
+        },
         "ppt": {"results": ppt_rows},
         "realignment": {"applicable": n >= 2, "results": realignment_rows},
         "scan": {
@@ -232,7 +227,7 @@ def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dic
             "results": [_subset_dict(res) for res in scan.results],
             "max_norm": scan.max_norm,
             "argmax_labels": scan.argmax.label_text(),
-            "violations": [res.label_text() for res in scan.results if res.violating],
+            "violations": [format_label_set(mask, n) for mask in scan.violations],
         },
         "verdict": scan.verdict.value,
         "measure_e": scan.measure_e,
@@ -463,13 +458,6 @@ def cmd_generate(args) -> int:
 
 # --- argument parsing -------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
 def _add_format(sub) -> None:
     sub.add_argument("--format", choices=("human", "json"), default="human",
                      help="report format, default %(default)s")
@@ -484,7 +472,7 @@ def _add_state_input(sub) -> None:
 
 @cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="entscan",
         description="Entanglement detection for multipartite density matrices "
                     "via trace norms of row/column-relabeled matrices.",
@@ -526,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its message
+    except SystemExit as exc:  # argparse printed its message; a usage error exits 1
         return 0 if exc.code in (0, None) else 1
     # looked up per call, not stored in the shared parser, so that a wrapped
     # cmd_* (a test's or a tracer's) is the one that runs

@@ -8,6 +8,7 @@ verdict is UNDETECTED. Every criterion reads its rows from
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from math import sqrt
 
 import numpy as np
 
@@ -37,12 +38,15 @@ class SubsetResult:
     """Outcome of one reshaped-matrix evaluation: the transpose of the labels
     in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of a state with subsystem
     dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
-    is set exactly for partial transpositions, the square Hermitian cases."""
+    is set exactly for partial transpositions, the square Hermitian cases.
+    ``slack`` widens the violation threshold (see :func:`subset_table`); a
+    standalone :func:`evaluate_subset` row has not seen mask 0 and keeps 0."""
 
     mask: int
     dims: tuple[int, ...]
     trace_norm: float
     min_eigenvalue: float | None
+    slack: float = 0.0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -55,7 +59,7 @@ class SubsetResult:
     @property
     def violating(self) -> bool:
         """The one violation rule of every criterion here."""
-        return self.trace_norm > 1.0 + NORM_TOL
+        return self.trace_norm > 1.0 + NORM_TOL + self.slack
 
     @property
     def complement_mask(self) -> int:
@@ -170,6 +174,12 @@ def subset_table(rho: DensityMatrix):
     unit-trace matrix gets there only through negative eigenvalues. Each
     symmetry class is then solved on first use, at its representative, and
     every other member reads that row.
+
+    Every row carries one ``slack`` = (1 + sqrt(D)) t, where t = (trace norm
+    - trace) / 2 of mask 0 weighs the admitted negative eigenvalues. With
+    rho = P - N, P and N PSD, tr N = t: a row of a separable P/(1 + t) is at
+    most 1, and any transpose X of N has ||X||_1 <= sqrt(rank) ||X||_F <=
+    sqrt(D) t, so a row above 1 + ``NORM_TOL`` + slack certifies P entangled.
     """
     n = len(rho.dims)
     own = evaluate_subset(rho, 0)
@@ -179,12 +189,14 @@ def subset_table(rho: DensityMatrix):
             f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
             "so it is not a state; refusing to certify entanglement"
         )
-    rows = {0: own}
+    t = (own.trace_norm - rho.trace().real) / 2 if own.min_eigenvalue < 0 else 0.0
+    slack = (1 + sqrt(rho.dim)) * t
+    rows = {0: replace(own, slack=slack)}
 
     def row(mask: int) -> SubsetResult:
         rep = _representative(mask, n)
         if rep not in rows:
-            rows[rep] = evaluate_subset(rho, rep)
+            rows[rep] = replace(evaluate_subset(rho, rep), slack=slack)
         return rows[rep] if mask == rep else replace(rows[rep], mask=mask)
 
     return row
@@ -200,8 +212,8 @@ def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
 
     One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
     results). A row violates, like every scan row, iff its trace norm exceeds
-    1 + ``NORM_TOL``; on a state that is a negative eigenvalue, which
-    ``min_eigenvalue`` reports.
+    1 + ``NORM_TOL`` + ``slack``; on a state that is a negative eigenvalue,
+    which ``min_eigenvalue`` reports.
     """
     return _ppt_rows(subset_table(rho), len(rho.dims))
 
@@ -235,7 +247,7 @@ def _realignment_rows(result_for, n: int) -> list[SubsetResult]:
 def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:
     """Trace norm of the realignment across every bipartite cut.
 
-    Any norm above 1 + ``NORM_TOL`` certifies entanglement.
+    Any norm above 1 + ``NORM_TOL`` + ``slack`` certifies entanglement.
     """
     if len(rho.dims) < 2:
         raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
@@ -244,7 +256,7 @@ def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:
 
 def negativity(rho: DensityMatrix, subsystem: int) -> float:
     """(trace norm of the subsystem's partial transpose - 1) / 2; exactly 0
-    unless that norm exceeds 1 + ``NORM_TOL``.
+    unless that row violates.
 
     Reads the same eigenvalues as ``gpt_scan``, so the two agree bitwise.
     """

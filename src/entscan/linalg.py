@@ -114,7 +114,7 @@ def trace_norm(a) -> float:
     return float(singular_values(a).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray == is elementwise and unhashable
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
@@ -130,7 +130,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...]
-    _residual: float = field(default=0.0, init=False, repr=False, compare=False)
+    _residual: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         mat = as_matrix(self.mat, "density matrix")

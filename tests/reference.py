@@ -158,6 +158,26 @@ def random_state(side, rng, rank=None):
     return mat / mat.trace().real
 
 
+def product_minus(ket, psi, eps):
+    """(1 + eps)|ket><ket| - eps|psi><psi| for orthogonal unit kets: unit
+    trace, one eigenvalue -eps, trace norm 1 + 2 eps. Its PSD part is the pure
+    state |ket><ket|, so it is separable when ``ket`` is a product."""
+    return (1 + eps) * np.outer(ket, ket.conj()) - eps * np.outer(psi, psi.conj())
+
+
+# (d, eps) of near_product inputs that a row once certified on their
+# tolerated negative eigenvalue alone
+NEAR_PRODUCT_CASES = [(8, 4.5e-10), (3, 4.5e-10), (4, 4.5e-10), (8, 2e-10)]
+
+
+def near_product(d, eps):
+    """``product_minus`` on d x d with ket |00> and psi = sum_{i>=1} |ii>/sqrt(d-1)."""
+    ket, psi = np.zeros(d * d), np.zeros(d * d)
+    ket[0] = 1.0
+    psi[[i * d + i for i in range(1, d)]] = 1 / np.sqrt(d - 1)
+    return product_minus(ket, psi, eps)
+
+
 def random_unitary(d, rng):
     """Unitary from QR of a complex Gaussian, with the phases of the
     triangular factor's diagonal absorbed to make the draw well spread."""

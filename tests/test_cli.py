@@ -12,6 +12,8 @@ import entscan
 from entscan import cli, generate, states
 from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
+from reference import NEAR_PRODUCT_CASES, near_product
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -116,6 +118,17 @@ class TestAnalyze:
     def test_trace_norm_within_the_slack_is_undetected(self, capsys, tmp_path):
         code, out, _ = run(capsys, "analyze", self._diag_file(tmp_path, 4e-10))
         assert code == 0
+        assert "verdict: UNDETECTED" in out
+
+    @pytest.mark.parametrize("d, eps", NEAR_PRODUCT_CASES)
+    def test_admitted_negativity_is_undetected(self, capsys, tmp_path, d, eps):
+        # min eig -eps passes; the PSD part is the product state |00><00|
+        path = tmp_path / "near.json"
+        cells = [[[v, 0.0] for v in row] for row in near_product(d, eps).tolist()]
+        path.write_text(json.dumps({"dims": [d, d], "matrix": cells}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert err == ""
         assert "verdict: UNDETECTED" in out
 
     def test_anti_hermitian_part_is_reported_and_dropped(self, capsys, tmp_path):
@@ -224,8 +237,11 @@ class TestAnalyze:
             (b"[" * 100000, "unreadable JSON"),  # RecursionError
             (b'{"dims":[2],"matrix":[[[1,0],[0,0]],[[0,0]]]}', "matrix[1] must have 2 entries"),
             (b'{"name":5,"dims":[1],"matrix":[[[1,0]]]}', "field 'name' must be a string"),
+            (b'{"description":5,"dims":[1],"matrix":[[[1,0]]]}',
+             "field 'description' must be a string"),
         ],
-        ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting", "short-row", "numeric-name"],
+        ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting", "short-row", "numeric-name",
+             "numeric-description"],
     )
     def test_unparseable_files_exit_1(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.json"
@@ -426,7 +442,7 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "ghz:3", str(path))
         assert code == 0
         assert "8x8" in out
-        mat, dims, name, _ = load_matrix_file(str(path))
+        mat, dims, name = load_matrix_file(str(path))
         assert dims == (2, 2, 2)
         assert name == "ghz:3"
         assert np.array_equal(mat, generate("ghz:3").mat)
@@ -452,7 +468,7 @@ class TestGenerate:
         rows = [[[values[next(picks)], values[next(picks)]] for _ in range(6)] for _ in range(6)]
         path = tmp_path / "cells.json"
         path.write_text(json.dumps({"dims": [2, 3], "matrix": rows}))
-        mat, _, _, _ = load_matrix_file(str(path))
+        mat, _, _ = load_matrix_file(str(path))
         expected = np.array([[complex(re, im) for re, im in row] for row in rows])
         assert mat.dtype == expected.dtype and mat.shape == (6, 6)
         assert mat.tobytes() == expected.tobytes()
@@ -460,7 +476,7 @@ class TestGenerate:
     def test_round_trip_preserves_entries_exactly(self, capsys, tmp_path):
         path = tmp_path / "sep.json"
         assert run(capsys, "generate", "sepmix:2x3,4,13", str(path))[0] == 0
-        mat, dims, _, _ = load_matrix_file(str(path))
+        mat, dims, _ = load_matrix_file(str(path))
         assert np.array_equal(mat, generate("sepmix:2x3,4,13").mat)
 
     def test_generate_then_analyze_matches_in_memory_report(self, capsys, tmp_path):
@@ -542,6 +558,40 @@ class TestArgumentHandling:
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "analyze" in out and "scan-family" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["norms", "bell:psi-"],
+            ["scan-family", "werner", "--min", "0"],
+            ["generate", "ghz:3"],
+            ["scan-family", "werner", "--min", "x", "--max", "1"],
+        ],
+        ids=["analyze", "norms", "scan-family", "generate", "bad-float"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage: entscan {argv[0]} ")
+        assert f"\nentscan {argv[0]}: error: " in err
+
+    @pytest.mark.parametrize("command", ["analyze", "norms", "scan-family", "generate"])
+    def test_subcommand_help_exits_0(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: entscan {command} ")
+
+    def test_usage_error_exits_1_as_a_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "entscan.cli", "analyze"], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage: entscan analyze " in proc.stderr
+        assert "entscan analyze: error: " in proc.stderr
 
     def test_omitted_seed_is_0(self, capsys):
         _, omitted, _ = run_json(capsys, "analyze", "sepmix:2x2,3")

@@ -32,11 +32,13 @@ from entscan.criteria import _representative, subset_table
 from entscan.linalg import TRACE_TOL
 
 from reference import (
+    NEAR_PRODUCT_CASES,
     all_flip_sets,
     naive_generalized_transpose,
     naive_realign,
     naive_trace_norm,
     naive_witness,
+    near_product,
     random_local_unitary,
     random_state,
 )
@@ -209,6 +211,20 @@ class TestGptScan:
         rho = DensityMatrix(np.diag([0.6, 0.5, -0.1, 0.0]), (2, 2))
         with pytest.raises(InvalidInputError, match="not positive semidefinite"):
             entry(rho)
+
+    @pytest.mark.parametrize("d, eps", NEAR_PRODUCT_CASES)
+    def test_admitted_negativity_does_not_certify(self, d, eps):
+        # the PSD part is the product state |00><00|; the largest row passes
+        # 1 + NORM_TOL on the tolerated negative part, not 1 + NORM_TOL + slack
+        rho = DensityMatrix(near_product(d, eps), (d, d))
+        report = gpt_scan(rho)
+        assert report.max_norm > 1.0 + NORM_TOL
+        assert report.argmax.slack > 0.0
+        assert report.verdict is Verdict.UNDETECTED
+        assert report.violations == () and report.measure_e == 0.0
+        assert negativity(rho, 0) == 0.0
+        # a standalone row has not seen mask 0: plain threshold
+        assert evaluate_subset(rho, report.argmax.mask).slack == 0.0
 
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds

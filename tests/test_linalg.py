@@ -268,6 +268,13 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="auto-normalize"):
             density_matrix(np.eye(4) * 0.9 / 4, (2, 2), normalize=True)
 
+    def test_compares_by_identity(self):
+        # an ndarray field has no == that returns a bool, nor a hash
+        a, b = bell_state("psi-"), bell_state("psi-")
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_psd_check_is_on_demand(self):
         # slightly indefinite matrices construct fine; the scan's mask-0 row
         # refuses them

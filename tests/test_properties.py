@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from entscan import (
     DensityMatrix,
     InvalidInputError,
+    Verdict,
     enumerate_label_subsets,
     generalized_transpose,
     gpt_scan,
@@ -32,6 +33,7 @@ from reference import (
     all_flip_sets,
     naive_generalized_transpose,
     naive_trace_norm,
+    product_minus,
     random_state,
     vec,
 )
@@ -179,12 +181,11 @@ def _load_bytes(content: bytes):
 
 def _loads_or_raises_invalid_input(content: bytes) -> None:
     try:
-        mat, dims, name, description = _load_bytes(content)
+        mat, dims, name = _load_bytes(content)
     except InvalidInputError:
         return
     assert mat.shape == (np.prod(dims),) * 2
     assert name is None or isinstance(name, str)
-    assert description is None or isinstance(description, str)
 
 
 # integers up to 401 digits overflow a double; JSON has no larger-digit
@@ -250,6 +251,31 @@ def test_every_deduped_row_matches_the_naive_oracle(dims, seed, full_rank):
         expected = naive_generalized_transpose(mat, dims, flips[row.mask])
         assert row.shape == expected.shape
         assert abs(row.trace_norm - naive_trace_norm(expected)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 4), (4, 4), (8, 8), (2, 2, 2), (3, 3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(min_value=0.0, max_value=4.5e-10, exclude_max=True),
+)
+def test_admitted_negativity_never_certifies_a_product_psd_part(dims, seed, eps):
+    # the mask-0 check admits the eigenvalue -eps; psi stays orthogonal to
+    # the product ket, so the PSD part is that product and separable
+    rng = np.random.default_rng(seed)
+
+    def unit(d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    ket = np.ones(1)
+    for d in dims:
+        ket = np.kron(ket, unit(d))
+    psi = unit(ket.size)
+    psi -= ket * (ket.conj() @ psi)
+    psi /= np.linalg.norm(psi)
+    rho = DensityMatrix(product_minus(ket, psi, eps), dims)
+    assert gpt_scan(rho).verdict is Verdict.UNDETECTED
 
 
 # --- whole command lines ------------------------------------------------------
