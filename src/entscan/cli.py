@@ -10,10 +10,10 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error,
 report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
 a state and exits 1: analyze and norms read every row from
 ``criteria.subset_table``, which refuses it before solving anything else.
-Specs and files are held to D <= MAX_KRON_DIM, and mixture terms and
-scan-family grid points to at most MAX_KRON_DIM, before anything is
-allocated; analyze also refuses a spec or file beyond the scan limit of
-MAX_SCAN_SUBSYSTEMS subsystems before building its state.
+Specs and files are held to D <= MAX_KRON_DIM, and mixture terms to at
+most MAX_KRON_DIM, before anything is allocated; analyze also refuses a
+spec or file beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before
+building its state.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -37,10 +37,8 @@ from .criteria import evaluate_subset, ppt_criterion, realignment_criterion  # n
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     HERM_TOL_SCALE,
-    NORMALIZE_MAX_DEV,
     TRACE_TOL,
     DensityMatrix,
-    check_count,
     check_dimension,
     density_matrix,
 )
@@ -56,6 +54,7 @@ from .states import (
 )
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
+GRID_POINTS = 33  # scan-family samples before bisection
 
 
 # --- matrix files -----------------------------------------------------------
@@ -143,7 +142,7 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
 
-def _resolve_input(text: str, normalize: bool, scan: bool = False):
+def _resolve_input(text: str, scan: bool = False):
     """Interpret ``text`` as an existing matrix file, else as a state spec.
 
     With ``scan`` a file or spec beyond the scan limit is refused before its
@@ -153,8 +152,7 @@ def _resolve_input(text: str, normalize: bool, scan: bool = False):
 
     if os.path.exists(text):
         mat, dims, name = load_matrix_file(text, scan=scan)
-        rho = density_matrix(mat, dims, normalize=normalize)
-        return rho, (name or ""), normalize
+        return density_matrix(mat, dims), (name or "")
     try:
         spec = parse_state_spec(text)
     except InvalidInputError as exc:
@@ -163,7 +161,7 @@ def _resolve_input(text: str, normalize: bool, scan: bool = False):
         ) from exc
     if scan:
         check_scan_limit(subsystem_count(spec))
-    return generate(spec), spec_text(spec), False
+    return generate(spec), spec_text(spec)
 
 
 # --- report assembly --------------------------------------------------------
@@ -186,7 +184,7 @@ def _subsystem_letters(res) -> str:
     return "".join(subsystem_letter(k) for k in range(n) if res.mask >> (2 * k) & 3)
 
 
-def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dict:
+def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     """The analyze report; PPT, realignment and negativities are read from
     the one scan, which evaluates each distinct subset once."""
     n = len(rho.dims)
@@ -212,12 +210,10 @@ def build_analyze_report(rho: DensityMatrix, name: str, normalized: bool) -> dic
             "trace_re": rho.trace().real,
             "trace_im": rho.trace().imag,
             "hermiticity_residual": rho.hermiticity_residual(),
-            "normalized": normalized,
         },
         "tolerances": {
             "hermiticity_tol_scale": HERM_TOL_SCALE,
             "trace_tol": TRACE_TOL,
-            "normalize_max_deviation": NORMALIZE_MAX_DEV,
             "norm_tol": NORM_TOL,
         },
         "ppt": {"results": ppt_rows},
@@ -250,8 +246,6 @@ def render_human_analyze(report: dict) -> str:
             repr(inp["hermiticity_residual"]),
         )
     )
-    if inp.get("normalized"):
-        lines.append("input was auto-normalized by its trace")
     tol = report["tolerances"]
     lines.append(
         "tolerances: norm_tol {}  trace_tol {}".format(
@@ -325,8 +319,8 @@ def _emit(report: dict, fmt: str, human_renderer) -> None:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    rho, name, normalized = _resolve_input(args.input, args.normalize, scan=True)
-    report = build_analyze_report(rho, name, normalized)
+    rho, name = _resolve_input(args.input, scan=True)
+    report = build_analyze_report(rho, name)
     _emit(report, args.format, render_human_analyze)
     return 3 if report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value else 0
 
@@ -342,7 +336,7 @@ def render_human_norms(report: dict) -> str:
 
 
 def cmd_norms(args) -> int:
-    rho, _, _ = _resolve_input(args.input, args.normalize)
+    rho, _ = _resolve_input(args.input)
     mask = parse_label_set(args.labels, len(rho.dims))
     # the scan's own table: refuses a non-state and prints the analyze row bitwise
     report = _subset_dict(subset_table(rho)(mask))
@@ -382,15 +376,11 @@ def cmd_scan_family(args) -> int:
         raise InvalidInputError(f"need min < max, got [{lo}, {hi}]")
     if not isfinite(hi - lo):  # an infinite end or width would make the grid nan
         raise InvalidInputError(f"need a finite range, got [{lo}, {hi}]")
-    points = int(args.grid)
-    if points < 2:
-        raise InvalidInputError(f"grid needs at least 2 points, got {points}")
-    check_count(points, "grid point count")
 
     def build(value: float) -> DensityMatrix:
         return generate(StateSpec(family, fixed + (value,)))
 
-    grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    grid = [lo + (hi - lo) * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     scans = [gpt_scan(build(value)) for value in grid]
     grid_rows = [
         {"param": value, "max_norm": rep.max_norm, "violating": bool(rep.violations)}
@@ -399,7 +389,7 @@ def cmd_scan_family(args) -> int:
 
     # the first grid point whose right neighbour has the other verdict
     left = next(
-        (i for i in range(points - 1)
+        (i for i in range(GRID_POINTS - 1)
          if grid_rows[i]["violating"] != grid_rows[i + 1]["violating"]),
         None,
     )
@@ -432,7 +422,7 @@ def cmd_scan_family(args) -> int:
         "family": desc,
         "param_min": lo,
         "param_max": hi,
-        "grid_points": points,
+        "grid_points": GRID_POINTS,
         "param_tol": PARAM_TOL,
         "norm_tol": NORM_TOL,
         "grid": grid_rows,
@@ -465,8 +455,6 @@ def _add_format(sub) -> None:
 
 def _add_state_input(sub) -> None:
     sub.add_argument("input", help="matrix file path or state spec text")
-    sub.add_argument("--normalize", action="store_true",
-                     help="divide by the trace when |tr - 1| <= 1e-3")
     _add_format(sub)
 
 
@@ -500,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "'werner', 'isotropic:3', 'horodecki2x4'")
     scan.add_argument("--min", type=float, required=True, help="range start")
     scan.add_argument("--max", type=float, required=True, help="range end")
-    scan.add_argument("--grid", type=int, default=33, metavar="N",
-                      help="grid points before bisection, default %(default)s")
     _add_format(scan)
 
     gen = subs.add_parser("generate", help="write a state spec to a matrix file",

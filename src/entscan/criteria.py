@@ -6,7 +6,8 @@ verdict is UNDETECTED. Every criterion reads its rows from
 :func:`subset_table`, so each refuses input that is not a state.
 """
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import sqrt
 
@@ -78,11 +79,13 @@ def _excess(res: SubsetResult) -> float:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Full scan outcome over the enumerated label subsets, in mask order."""
+    """Full scan outcome over the enumerated label subsets, in mask order.
+    ``lookup`` is the scan's own :func:`subset_table`: it reads any mask."""
 
     dims: tuple[int, ...]
     results: tuple[SubsetResult, ...]
     argmax: SubsetResult
+    lookup: Callable[[int], SubsetResult] = field(repr=False, compare=False)
 
     @property
     def verdict(self) -> Verdict:
@@ -105,12 +108,6 @@ class CriterionReport:
     @property
     def negativity_per_subsystem(self) -> tuple[float, ...]:
         return tuple(_excess(self.lookup(3 << (2 * k))) for k in range(len(self.dims)))
-
-    def lookup(self, mask: int) -> SubsetResult:
-        """The result for ``mask``, read from its class representative's row."""
-        # results index by mask, and every representative is below 2^(2n-1)
-        row = self.results[_representative(mask, len(self.dims))]
-        return row if row.mask == mask else replace(row, mask=mask)
 
     def ppt_results(self) -> list[SubsetResult]:
         """:func:`ppt_criterion`, read from the scan."""
@@ -271,17 +268,17 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
 
     The rows are one mask of each complement pair, and each symmetry class
     (see :func:`_representative`) is solved once, at its representative; the
-    other rows read its values bitwise. :meth:`CriterionReport.lookup` reads
+    other rows read its values bitwise. :attr:`CriterionReport.lookup` reads
     any mask, complements included.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Refuses input
     that is not a state, through :func:`subset_table`, before solving the rest.
     """
-    masks = enumerate_label_subsets(len(rho.dims))
-    results = tuple(map(subset_table(rho), masks))
+    table = subset_table(rho)
+    results = tuple(map(table, enumerate_label_subsets(len(rho.dims))))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
-    return CriterionReport(rho.dims, results, best)
+    return CriterionReport(rho.dims, results, best, table)
 
 
 def measure_e(rho: DensityMatrix) -> float:

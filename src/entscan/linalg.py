@@ -20,7 +20,6 @@ from .errors import InvalidInputError, NumericalError
 # hence the Frobenius scaling of the hermiticity check.
 HERM_TOL_SCALE = 1e-10
 TRACE_TOL = 1e-10
-NORMALIZE_MAX_DEV = 1e-3
 
 # The one dimension budget: Kronecker products, parsed state specs and loaded
 # matrix files all stay at D <= MAX_KRON_DIM; everything here is desk scale.
@@ -74,7 +73,7 @@ def check_dimension(dims, what: str) -> None:
 
 def check_count(count: int, what: str) -> None:
     """Raise unless ``count`` is at most ``MAX_KRON_DIM``: counts of work
-    items (mixture terms, sweep grid points) share the dimension budget."""
+    items (mixture terms) share the dimension budget."""
     if count > MAX_KRON_DIM:
         raise InvalidInputError(f"{what} {count} exceeds the limit {MAX_KRON_DIM}")
 
@@ -118,7 +117,9 @@ def trace_norm(a) -> float:
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
-    Construction checks hermiticity (within ``HERM_TOL_SCALE * max(1, fro)``)
+    Construction refuses more than 12 subsystems, the most of dimension >= 2
+    within ``MAX_KRON_DIM`` (more unit ones would reshape past numpy's axis
+    limit). It checks hermiticity (within ``HERM_TOL_SCALE * max(1, fro)``)
     and unit trace (within ``TRACE_TOL``) of the input, then stores its
     Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
     symmetries are exact on it. :meth:`hermiticity_residual` still reports
@@ -140,6 +141,9 @@ class DensityMatrix:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 1 for d in dims):
             raise InvalidInputError(f"subsystem dimensions must be positive, got {dims}")
+        limit = MAX_KRON_DIM.bit_length() - 1
+        if len(dims) > limit:
+            raise InvalidInputError(f"{len(dims)} subsystems exceed the limit of {limit}")
         if prod(dims) != rows:
             raise InvalidInputError(
                 f"dims {dims} multiply to {prod(dims)}, but the matrix side is {rows}"
@@ -171,21 +175,6 @@ class DensityMatrix:
         return self._residual
 
 
-def density_matrix(mat, dims, normalize: bool = False) -> DensityMatrix:
-    """Build a :class:`DensityMatrix`, optionally rescaling a near-unit trace.
-
-    With ``normalize=True`` the matrix is divided by its trace provided
-    |tr - 1| <= ``NORMALIZE_MAX_DEV``; a larger deviation is rejected rather
-    than silently rescaled.
-    """
-    arr = as_matrix(mat, "density matrix")
-    if normalize:
-        tr = complex(arr.trace())
-        if abs(tr - 1.0) > NORMALIZE_MAX_DEV:
-            raise InvalidInputError(
-                f"trace {tr:.12g} deviates from 1 by more than {NORMALIZE_MAX_DEV:g}; "
-                "refusing to auto-normalize"
-            )
-        if tr != 1.0:
-            arr = arr / tr
-    return DensityMatrix(arr, tuple(dims))
+def density_matrix(mat, dims) -> DensityMatrix:
+    """Build a :class:`DensityMatrix` from a matrix and its subsystem dimensions."""
+    return DensityMatrix(mat, tuple(dims))

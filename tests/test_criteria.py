@@ -91,7 +91,7 @@ class TestPptCriterion:
         assert -1e-9 < res.min_eigenvalue < 0.0
         assert res.trace_norm > 1.0 + NORM_TOL
         assert res.violating
-        report = build_analyze_report(rho, "", False)
+        report = build_analyze_report(rho, "")
         assert report["ppt"]["results"][0]["violating"]
         assert report["scan"]["results"][3]["violating"]
         assert report["verdict"] == Verdict.ENTANGLED_CERTIFIED.value
@@ -403,7 +403,7 @@ class TestMaskEngine:
         ids=["bell", "werner", "2x3", "3x2x2", "2x2x2x2"],
     )
     def test_analyze_matches_standalone_criteria(self, rho):
-        report = build_analyze_report(rho, "", False)
+        report = build_analyze_report(rho, "")
         ppt = ppt_criterion(rho)
         assert len(report["ppt"]["results"]) == len(ppt)
         for row, res in zip(report["ppt"]["results"], ppt):
@@ -425,7 +425,7 @@ class TestMaskEngine:
     def test_analyze_solves_each_subset_once(self, monkeypatch):
         calls = count_solver_calls(monkeypatch)
         rho = random_density((2, 3, 2), seed=8)
-        report = build_analyze_report(rho, "", False)
+        report = build_analyze_report(rho, "")
         assert report["scan"]["subsets_evaluated"] == 32
         # each symmetry class is solved once
         assert len(calls) == class_count(3)
