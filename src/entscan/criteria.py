@@ -40,14 +40,13 @@ class SubsetResult:
     in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of a state with subsystem
     dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
     is set exactly for partial transpositions, the square Hermitian cases.
-    ``slack`` widens the violation threshold (see :func:`subset_table`); a
-    standalone :func:`evaluate_subset` row has not seen mask 0 and keeps 0."""
+    ``slack`` widens the violation threshold (see :func:`subset_table`)."""
 
     mask: int
     dims: tuple[int, ...]
     trace_norm: float
     min_eigenvalue: float | None
-    slack: float = 0.0
+    slack: float
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,9 +117,9 @@ class CriterionReport:
         return _realignment_rows(self.lookup, len(self.dims))
 
 
-def evaluate_subset(rho: DensityMatrix, mask: int) -> SubsetResult:
-    """Trace norm (and, for square Hermitian cases, minimum eigenvalue) of
-    the ``mask`` transpose, with one solver call."""
+def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]:
+    """``(trace_norm, min_eigenvalue)`` of the ``mask`` transpose, with one solver
+    call; the eigenvalue is None unless ``mask`` is a partial transposition."""
     mat = generalized_transpose(rho, mask)
     # each subsystem flips both or neither of its labels: a partial
     # transposition, square and Hermitian on Hermitian input
@@ -131,8 +130,8 @@ def evaluate_subset(rho: DensityMatrix, mask: int) -> SubsetResult:
             raise NumericalError(
                 f"eigensolver did not converge for {matrix_fingerprint(mat)}"
             ) from exc
-        return SubsetResult(mask, rho.dims, float(np.abs(eigs).sum()), float(eigs.min()))
-    return SubsetResult(mask, rho.dims, trace_norm(mat), None)
+        return float(np.abs(eigs).sum()), float(eigs.min())
+    return trace_norm(mat), None
 
 
 def _pt_mask(subsystems: int) -> int:
@@ -179,21 +178,21 @@ def subset_table(rho: DensityMatrix):
     sqrt(D) t, so a row above 1 + ``NORM_TOL`` + slack certifies P entangled.
     """
     n = len(rho.dims)
-    own = evaluate_subset(rho, 0)
-    if own.violating:
+    norm, low = evaluate_subset(rho, 0)
+    if norm > 1.0 + NORM_TOL:
         raise InvalidInputError(
-            f"input is not positive semidefinite (trace norm {own.trace_norm!r} "
-            f"> 1 + {NORM_TOL!r}, minimum eigenvalue {own.min_eigenvalue!r}), "
+            f"input is not positive semidefinite (trace norm {norm!r} "
+            f"> 1 + {NORM_TOL!r}, minimum eigenvalue {low!r}), "
             "so it is not a state; refusing to certify entanglement"
         )
-    t = (own.trace_norm - rho.trace().real) / 2 if own.min_eigenvalue < 0 else 0.0
+    t = (norm - rho.trace().real) / 2 if low < 0 else 0.0
     slack = (1 + sqrt(rho.dim)) * t
-    rows = {0: replace(own, slack=slack)}
+    rows = {0: SubsetResult(0, rho.dims, norm, low, slack)}
 
     def row(mask: int) -> SubsetResult:
         rep = _representative(mask, n)
         if rep not in rows:
-            rows[rep] = replace(evaluate_subset(rho, rep), slack=slack)
+            rows[rep] = SubsetResult(rep, rho.dims, *evaluate_subset(rho, rep), slack)
         return rows[rep] if mask == rep else replace(rows[rep], mask=mask)
 
     return row

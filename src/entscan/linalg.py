@@ -62,8 +62,9 @@ def matrix_fingerprint(a: np.ndarray) -> str:
 
 def check_dimension(dims, what: str) -> None:
     """Raise unless the product of ``dims`` is at most ``MAX_KRON_DIM``; stops
-    multiplying once over, so huge entries cost nothing. Non-positive entries
-    are left to the callers' own checks."""
+    multiplying once over, so huge entries cost nothing. Entries below 1 are
+    refused by the callers: ``states._parse_dims``, ``cli.load_matrix_file``
+    and, for qubit counts and local dimensions, the generators."""
     side = 1
     for d in dims:
         side *= max(d, 0)

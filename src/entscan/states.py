@@ -237,6 +237,8 @@ def _parse_dims(token: str, what: str) -> tuple[int, ...]:
     if not _DIMS_RE.match(token):
         raise InvalidInputError(f"bad {what} {token!r}: expected e.g. 2x2 or 2x3x2")
     dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
+    if 0 in dims:
+        raise InvalidInputError(f"bad {what} {token!r}: every dimension must be at least 1")
     check_dimension(dims, f"{what} {token!r}")
     return dims
 

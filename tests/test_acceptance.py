@@ -76,7 +76,7 @@ def test_criterion_02_separable_ensembles_never_violate():
             rho = separable_mixture(dims, 2 + seed % 9, seed=seed)
             # every one of the 4^n masks, each solved on its own
             norm = max(
-                evaluate_subset(rho, mask).trace_norm for mask in range(1 << 2 * len(dims))
+                evaluate_subset(rho, mask)[0] for mask in range(1 << 2 * len(dims))
             )
             worst = max(worst, norm)
             if norm > 1.0 + 1e-9:

@@ -645,6 +645,22 @@ class TestArgumentHandling:
         assert out == ""
         assert "7 subsystems means 2^14 subsets, beyond the scan limit of 6" in err
 
+    @pytest.mark.parametrize("spec", ["productrandom:0x10000000000", "sepmix:0x10000000000,1"])
+    def test_a_zero_dimension_is_refused_before_the_state_is_built(
+        self, capsys, monkeypatch, spec
+    ):
+        # a 0 makes the product of the dims 0, inside the dimension budget,
+        # while the other factor is far too large to build
+        def refuse(*args, **kwargs):
+            raise AssertionError("analyze built a state with a zero dimension")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        code, out, err = run(capsys, "analyze", spec)
+        assert code == 1
+        assert out == ""
+        assert "bad dims '0x10000000000': every dimension must be at least 1" in err
+        assert "Traceback" not in err
+
     def test_norms_has_no_scan_limit(self, capsys):
         code, out, _ = run(capsys, "norms", "ghz:7", "")
         assert code == 0

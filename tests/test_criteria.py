@@ -223,8 +223,6 @@ class TestGptScan:
         assert report.verdict is Verdict.UNDETECTED
         assert report.violations == () and report.measure_e == 0.0
         assert negativity(rho, 0) == 0.0
-        # a standalone row has not seen mask 0: plain threshold
-        assert evaluate_subset(rho, report.argmax.mask).slack == 0.0
 
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds
@@ -341,12 +339,12 @@ class TestEvaluateSubset:
         for res in map(report.lookup, range(16)):
             # bitwise the solve of its class representative, in its own shape
             single = evaluate_subset(rho, _representative(res.mask, 2))
-            assert single.trace_norm == res.trace_norm
-            assert evaluate_subset(rho, res.mask).shape == res.shape
+            assert single == (res.trace_norm, res.min_eigenvalue)
+            assert generalized_transpose(rho, res.mask).shape == res.shape
 
     def test_complement_recorded(self):
         rho = bell_state("psi-")
-        res = evaluate_subset(rho, 0)
+        res = subset_table(rho)(0)
         assert res.complement_mask == 15
 
 
@@ -380,7 +378,7 @@ class TestMaskEngine:
             res = scan.lookup(mask)
             assert res.mask == mask
             assert res.shape == generalized_transpose(rho, mask).shape
-            assert abs(res.trace_norm - evaluate_subset(rho, mask).trace_norm) <= 1e-12
+            assert abs(res.trace_norm - evaluate_subset(rho, mask)[0]) <= 1e-12
 
     @pytest.mark.parametrize("mask", [16, 100, -1])
     def test_mask_outside_the_table_is_refused(self, mask):

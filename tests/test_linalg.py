@@ -253,6 +253,8 @@ class TestDensityMatrix:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(InvalidInputError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+        with pytest.raises(InvalidInputError, match=r"must be positive, got \(0,\)"):
+            DensityMatrix(np.eye(1), (0,))
 
     def test_rejects_non_finite(self):
         mat = np.eye(2, dtype=complex) / 2

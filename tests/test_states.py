@@ -246,6 +246,10 @@ class TestSpecText:
         # beyond Python's 4300-digit limit on int() of a string
         with pytest.raises(InvalidInputError, match="bad dimension"):
             parse_state_spec("maxmixed:2x" + "9" * 5000)
+        # a 0 would make the product 0 and pass the dimension budget
+        for text in ("maxmixed:0x2", "maxmixed:2x0x3", "productrandom:0x" + "9" * 4000):
+            with pytest.raises(InvalidInputError, match="bad dims '.*': every dimension"):
+                parse_state_spec(text)
 
     @pytest.mark.parametrize(
         "largest, smallest_over",
@@ -283,7 +287,10 @@ class TestSpecText:
     @pytest.mark.parametrize(
         "spec, message",
         [("ghz:1", "GHZ needs at least 2 qubits, got 1"),
-         ("isotropic:3,1.5", r"fidelity must lie in \[0, 1\], got 1.5")],
+         ("w:1", "W state needs at least 2 qubits, got 1"),
+         ("isotropic:1,0.5", "isotropic state needs local dimension >= 2, got 1"),
+         ("isotropic:3,1.5", r"fidelity must lie in \[0, 1\], got 1.5"),
+         ("sepmix:2x2,0", "mixture needs at least 1 term, got 0")],
     )
     def test_generator_refuses_a_parameter_out_of_its_range(self, spec, message):
         with pytest.raises(InvalidInputError, match=message):
