@@ -16,7 +16,6 @@ from .criteria import (
     bipartite_cuts,
     evaluate_subset,
     gpt_scan,
-    measure_e,
     negativity,
     ppt_criterion,
     realignment_criterion,
@@ -25,7 +24,6 @@ from .errors import EntscanError, InvalidInputError, NumericalError
 from .linalg import (
     DensityMatrix,
     density_matrix,
-    kron,
     singular_values,
     trace_norm,
 )
@@ -34,8 +32,6 @@ from .reshape import (
     format_label_set,
     generalized_transpose,
     parse_label_set,
-    partial_transpose,
-    realign,
 )
 from .states import (
     StateSpec,
@@ -79,17 +75,13 @@ __all__ = [
     "horodecki_2x4",
     "horodecki_3x3",
     "isotropic_state",
-    "kron",
     "max_mixed",
-    "measure_e",
     "negativity",
     "parse_label_set",
     "parse_state_spec",
-    "partial_transpose",
     "ppt_criterion",
     "random_density",
     "random_product_state",
-    "realign",
     "realignment_criterion",
     "separable_mixture",
     "singular_values",

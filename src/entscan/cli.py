@@ -4,16 +4,16 @@ Subcommands: ``analyze`` (run all criteria on a state), ``norms`` (one
 label subset), ``scan-family`` (detection threshold of a one-parameter
 family), ``generate`` (write a matrix file).
 
-Exit codes: 0 = ran fine / nothing detected, 1 = input error,
-2 = numerical failure or out of memory, 3 = entanglement certified
-(analyze only). The tolerances are fixed constants, listed in the analyze
-report. Input whose own trace norm (scan mask 0) exceeds 1 + NORM_TOL is not
-a state and exits 1: analyze and norms read every row from
-``criteria.subset_table``, which refuses it before solving anything else.
-Specs and files are held to D <= MAX_KRON_DIM, and mixture terms to at
-most MAX_KRON_DIM, before anything is allocated; analyze also refuses a
-spec or file beyond the scan limit of MAX_SCAN_SUBSYSTEMS subsystems before
-building its state.
+Exit codes: 0 = ran fine / nothing detected, 1 = input error or a reader
+that closed stdout early, 2 = numerical failure or out of memory,
+3 = entanglement certified (analyze only). The tolerances are fixed
+constants, listed in the analyze report. Input whose own trace norm (scan
+mask 0) exceeds 1 + NORM_TOL is not a state and exits 1: analyze and norms
+read every row from ``criteria.subset_table``, which refuses it before
+solving anything else. Specs and files are held to D <= MAX_KRON_DIM, and mixture
+terms to at most MAX_KRON_DIM, before anything is allocated; analyze also
+refuses a spec or file beyond the scan limit of MAX_SCAN_SUBSYSTEMS
+subsystems before building its state.
 
 Reports contain no timestamps or file paths, only content, so identical
 inputs and flags produce byte-identical output on the same build with the
@@ -22,6 +22,7 @@ same BLAS thread count.
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from math import isfinite, prod
@@ -521,6 +522,11 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("entscan: out of memory\n")
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: point fd 1 at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -93,6 +93,9 @@ class CriterionReport:
 
     @property
     def measure_e(self) -> float:
+        """Largest (trace norm - 1) / 2 over all label subsets, zero when no
+        subset violates: exactly zero on every separable state, and an upper
+        bound on each negativity, since the scan has every partial transpose."""
         return _excess(self.argmax)
 
     @property
@@ -279,13 +282,3 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     return CriterionReport(rho.dims, results, best, table)
 
-
-def measure_e(rho: DensityMatrix) -> float:
-    """Largest (trace norm - 1) / 2 over all label subsets, zero when no
-    subset exceeds the violation threshold.
-
-    Exactly zero on every separable state; an upper bound for each
-    subsystem's negativity since the scan includes all partial
-    transpositions.
-    """
-    return gpt_scan(rho).measure_e

@@ -21,8 +21,8 @@ from .errors import InvalidInputError, NumericalError
 HERM_TOL_SCALE = 1e-10
 TRACE_TOL = 1e-10
 
-# The one dimension budget: Kronecker products, parsed state specs and loaded
-# matrix files all stay at D <= MAX_KRON_DIM; everything here is desk scale.
+# The one dimension budget: parsed state specs and loaded matrix files all
+# stay at D <= MAX_KRON_DIM; everything here is desk scale.
 MAX_KRON_DIM = 4096
 
 # singular_values solves a matrix at least twice as tall as wide, with at
@@ -34,12 +34,6 @@ MAX_KRON_DIM = 4096
 # it saves; 2048 sits between. Closer to square (36x64 and 64x81 here),
 # LAPACK's direct bidiagonalization is 1.2-1.4x faster, hence the aspect rule.
 QR_MIN_ENTRIES = 2048
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, order="C")
-    out.setflags(write=False)
-    return out
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -77,19 +71,6 @@ def check_count(count: int, what: str) -> None:
     items (mixture terms) share the dimension budget."""
     if count > MAX_KRON_DIM:
         raise InvalidInputError(f"{what} {count} exceeds the limit {MAX_KRON_DIM}")
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the first factor's indices varying slowest."""
-    am = as_matrix(a, "a")
-    bm = as_matrix(b, "b")
-    rows = am.shape[0] * bm.shape[0]
-    cols = am.shape[1] * bm.shape[1]
-    if rows > MAX_KRON_DIM or cols > MAX_KRON_DIM:
-        raise InvalidInputError(
-            f"Kronecker product shape ({rows}, {cols}) exceeds the size limit {MAX_KRON_DIM}"
-        )
-    return _freeze(np.kron(am, bm))
 
 
 def singular_values(a) -> np.ndarray:
@@ -160,7 +141,9 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}"
             )
-        object.__setattr__(self, "mat", _freeze((mat + mat.conj().T) / 2))
+        herm = np.ascontiguousarray((mat + mat.conj().T) / 2)
+        herm.setflags(write=False)  # read-only, so values can be shared freely
+        object.__setattr__(self, "mat", herm)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_residual", residual)
 

@@ -1,5 +1,5 @@
-"""Index-relabeling engine: the general label-subset transpose and its
-special cases, realignment and partial transposition.
+"""Index-relabeling engine: the general label-subset transpose, with
+partial transposition and realignment as masks of it.
 
 Every subsystem ``k`` of an n-party density matrix contributes two index
 labels: ``r_k`` (its row index) and ``c_k`` (its column index). By default
@@ -80,7 +80,8 @@ def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
 
     Mask 0 returns the matrix itself; the full mask returns the global
     transpose; ``3 << 2k`` is the partial transposition of subsystem k;
-    ``0b0110`` (``{c_A, r_B}``) on a bipartite state is the realignment.
+    ``0b0110`` (``{c_A, r_B}``) on a bipartite state of dims (m, n) is the
+    realignment, whose row J*m + I holds vec(block_{I,J})^T.
     """
     dims = rho.dims
     n = len(dims)
@@ -109,36 +110,6 @@ def transpose_shape(dims, mask: int) -> tuple[int, int]:
         rows *= d**on_rows
         cols *= d ** (2 - on_rows)
     return rows, cols
-
-
-def realign(rho: DensityMatrix) -> np.ndarray:
-    """Realign a bipartite state: rows are the column-stacked m x m blocks.
-
-    For dims (m, n) the result is m^2 x n^2 with row (J*m + I) holding
-    vec(block_{I,J})^T: the transpose of the label subset ``{c_A, r_B}``.
-    """
-    if len(rho.dims) != 2:
-        raise InvalidInputError(
-            f"realign requires exactly 2 subsystems, got {len(rho.dims)}; "
-            "for multipartite states use realignment_criterion, or "
-            "generalized_transpose with a cut's mask"
-        )
-    return generalized_transpose(rho, 0b0110)
-
-
-def partial_transpose(rho: DensityMatrix, subsystems) -> np.ndarray:
-    """Transpose the indices of the given subsystems only; output is square.
-
-    Equals ``generalized_transpose`` with both labels of each chosen
-    subsystem. Hermiticity is preserved.
-    """
-    subs = sorted({int(k) for k in subsystems})
-    n = len(rho.dims)
-    if not subs:
-        raise InvalidInputError("partial_transpose requires a non-empty subsystem set")
-    if subs[0] < 0 or subs[-1] >= n:
-        raise InvalidInputError(f"subsystem indices {subs} out of range for {n} subsystems")
-    return generalized_transpose(rho, sum(3 << (2 * k) for k in subs))
 
 
 def check_scan_limit(n: int) -> None:

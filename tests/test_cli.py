@@ -83,7 +83,7 @@ class TestAnalyze:
         path.write_text(json.dumps(data))
         assert run(capsys, "analyze", str(path))[0] == 1
 
-    def test_check_psd_flag(self, capsys, tmp_path):
+    def test_matrix_that_is_not_psd_exits_1(self, capsys, tmp_path):
         path = tmp_path / "indefinite.json"
         mat = np.diag([0.6, 0.5, -0.1, 0.0])
         data = {"dims": [2, 2], "matrix": [[[v.real, v.imag] for v in row] for row in mat.astype(complex)]}
@@ -344,7 +344,7 @@ class TestScanFamily:
         assert report["message"] == "no threshold in range (every sampled parameter violates)"
         assert all(row["violating"] for row in report["grid"])
 
-    def test_single_grid_point_rejected(self, capsys):
+    def test_empty_range_rejected(self, capsys):
         # an empty range would sample one parameter GRID_POINTS times
         code, out, err = run(capsys, "scan-family", "werner", "--min", "0.5", "--max", "0.5")
         assert code == 1
@@ -574,6 +574,22 @@ class TestArgumentHandling:
         assert "usage: entscan analyze " in proc.stderr
         assert "entscan analyze: error: " in proc.stderr
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the 32x32 report (about 160 KB) outgrows the pipe buffer, so the
+        # write is still under way when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "entscan.cli", "analyze", "maxmixed:2x2x2x2x2",
+             "--format", "json"],
+            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b'{\n  "input'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
     def test_omitted_seed_is_0(self, capsys):
         _, omitted, _ = run_json(capsys, "analyze", "sepmix:2x2,3")
         _, explicit, _ = run_json(capsys, "analyze", "sepmix:2x2,3,0")
@@ -629,7 +645,7 @@ class TestArgumentHandling:
         assert "unrecognized arguments" in err
         assert not os.path.exists("never-written.json")
 
-    def test_max_n_limit_is_enforced(self, capsys):
+    def test_seven_subsystems_exceed_the_scan_limit(self, capsys):
         code, _, err = run(capsys, "analyze", "ghz:7")
         assert code == 1
         assert "scan limit" in err

@@ -18,7 +18,6 @@ from entscan import (
     gpt_scan,
     horodecki_3x3,
     max_mixed,
-    measure_e,
     negativity,
     ppt_criterion,
     random_density,
@@ -188,13 +187,13 @@ class TestGptScan:
         with pytest.raises(InvalidInputError, match="-0.5"):
             gpt_scan(rho)
         with pytest.raises(InvalidInputError, match="not positive semidefinite"):
-            measure_e(rho)
+            gpt_scan(rho).measure_e
 
     @pytest.mark.parametrize(
         "entry",
         [
             gpt_scan,
-            measure_e,
+            lambda rho: gpt_scan(rho).measure_e,
             ppt_criterion,
             realignment_criterion,
             lambda rho: negativity(rho, 0),
@@ -296,16 +295,16 @@ class TestNegativity:
 class TestMeasureE:
     def test_separable_states_are_exactly_zero(self):
         for seed in range(8):
-            assert measure_e(separable_mixture((2, 2), 5, seed=seed)) == 0.0
-        assert measure_e(max_mixed((2, 2))) == 0.0
+            assert gpt_scan(separable_mixture((2, 2), 5, seed=seed)).measure_e == 0.0
+        assert gpt_scan(max_mixed((2, 2))).measure_e == 0.0
 
     def test_bell(self):
-        assert abs(measure_e(bell_state("psi-")) - 0.5) < 1e-9
+        assert abs(gpt_scan(bell_state("psi-")).measure_e - 0.5) < 1e-9
 
     def test_upper_bounds_negativity(self):
         for seed in range(20):
             rho = random_density((2, 2), seed=seed)
-            e_val = measure_e(rho)
+            e_val = gpt_scan(rho).measure_e
             for k in (0, 1):
                 assert e_val >= negativity(rho, k) - 1e-10
 
@@ -316,9 +315,9 @@ class TestMeasureE:
             rho2 = random_density((2, 2), seed=seed + 100)
             lam = float(rng.random())
             blend = DensityMatrix(lam * rho1.mat + (1 - lam) * rho2.mat, (2, 2))
-            assert measure_e(blend) <= lam * measure_e(rho1) + (1 - lam) * measure_e(
-                rho2
-            ) + 1e-9
+            assert gpt_scan(blend).measure_e <= lam * gpt_scan(rho1).measure_e + (
+                1 - lam
+            ) * gpt_scan(rho2).measure_e + 1e-9
 
     def test_local_unitary_invariance(self):
         for seed in range(10):

@@ -1,0 +1,29 @@
+"""The package's public namespace: ``__all__`` names what it exports."""
+
+import importlib
+
+import pytest
+
+import entscan
+
+
+def test_every_name_in_all_resolves():
+    missing = [name for name in entscan.__all__ if not hasattr(entscan, name)]
+    assert missing == []
+    assert len(set(entscan.__all__)) == len(entscan.__all__)
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace = {}
+    exec("from entscan import *", namespace)
+    assert set(entscan.__all__) <= set(namespace)
+
+
+# PPT, realignment and E each have one name: a mask of generalized_transpose,
+# or a property of gpt_scan's report; no module exports a wrapper for them
+@pytest.mark.parametrize("module", ["entscan", "entscan.linalg", "entscan.reshape",
+                                    "entscan.criteria"])
+@pytest.mark.parametrize("name", ["kron", "realign", "partial_transpose", "measure_e"])
+def test_removed_wrapper_is_absent(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+    assert name not in entscan.__all__

@@ -12,8 +12,6 @@ from entscan import (
     generalized_transpose,
     ghz_state,
     parse_label_set,
-    partial_transpose,
-    realign,
     realignment_criterion,
     separable_mixture,
     singular_values,
@@ -63,7 +61,7 @@ class TestPrintedLayouts:
                 [m[2, 2], m[3, 2], m[2, 3], m[3, 3]],
             ]
         )
-        assert np.array_equal(realign(rho), expected)
+        assert np.array_equal(generalized_transpose(rho, 0b0110), expected)  # {cA,rB}
 
     def test_row_transposition_of_single_system(self):
         a = np.array([[0.5, 0.1 + 0.2j], [0.1 - 0.2j, 0.5]])
@@ -120,7 +118,7 @@ class TestGeneralizedTranspose:
         for dims in [(2, 2), (2, 3), (3, 3)]:
             rho = DensityMatrix(random_state(int(np.prod(dims)), rng), dims)
             via_subset = generalized_transpose(rho, parse_label_set("cA,rB", 2))
-            assert np.array_equal(via_subset, realign(rho))
+            assert np.array_equal(via_subset, naive_realign(rho.mat, dims))
 
     def test_partial_transpose_special_case(self):
         rng = np.random.default_rng(3)
@@ -128,7 +126,7 @@ class TestGeneralizedTranspose:
         for subs in ([0], [1], [2], [0, 2]):
             mask = sum(0b11 << (2 * k) for k in subs)
             via_subset = generalized_transpose(rho, mask)
-            assert np.array_equal(via_subset, partial_transpose(rho, subs))
+            assert np.array_equal(via_subset, naive_partial_transpose(rho.mat, (2, 2, 2), subs))
 
     def test_unknown_subsystem_rejected(self):
         rho = bell_state("phi+")
@@ -140,8 +138,8 @@ class TestGeneralizedTranspose:
         outputs = [
             generalized_transpose(rho, 0),  # a view of rho.mat
             generalized_transpose(rho, 0b100110),  # a fresh copy
-            realign(bell_state("psi-")),
-            partial_transpose(rho, [1]),
+            generalized_transpose(bell_state("psi-"), 0b0110),  # realignment
+            generalized_transpose(rho, 0b1100),  # partial transpose of B
         ]
         for out in outputs:
             assert not out.flags.writeable
@@ -189,15 +187,14 @@ class TestGeneralizedTranspose:
 
 
 class TestRealign:
-    def test_requires_bipartite(self):
-        with pytest.raises(InvalidInputError, match="exactly 2.*realignment_criterion"):
-            realign(ghz_state(3))
+    """Realignment of a bipartite state: the transpose of {cA,rB}, mask 0b0110."""
 
     def test_against_naive_blocks(self):
         rng = np.random.default_rng(8)
         for dims in [(2, 2), (3, 2), (2, 4)]:
             rho = DensityMatrix(random_state(int(np.prod(dims)), rng), dims)
-            assert np.array_equal(realign(rho), naive_realign(rho.mat, dims))
+            expected = naive_realign(rho.mat, dims)
+            assert np.array_equal(generalized_transpose(rho, 0b0110), expected)
 
     def test_kronecker_factorization(self):
         # realignment of a product is the outer product of the stacked factors
@@ -206,42 +203,45 @@ class TestRealign:
         b = random_state(3, rng)
         rho = DensityMatrix(np.kron(a, b), (2, 3))
         expected = vec(a) @ vec(b).T
-        assert np.max(np.abs(realign(rho) - expected)) < 1e-12
+        assert np.max(np.abs(generalized_transpose(rho, 0b0110) - expected)) < 1e-12
 
     def test_bell_norm(self):
-        assert abs(trace_norm(realign(bell_state("psi-"))) - 2.0) < 1e-12
+        assert abs(trace_norm(generalized_transpose(bell_state("psi-"), 0b0110)) - 2.0) < 1e-12
 
     def test_maximally_mixed_norm(self):
         rho = DensityMatrix(np.eye(4) / 4, (2, 2))
-        assert abs(trace_norm(realign(rho)) - 0.5) < 1e-12
+        assert abs(trace_norm(generalized_transpose(rho, 0b0110)) - 0.5) < 1e-12
 
 
 class TestPartialTranspose:
+    """Partial transposition of subsystems S: the transpose of both labels of
+    each subsystem in S, mask sum(3 << 2k for k in S)."""
+
     def test_global_transpose_preserves_spectrum(self):
         rng = np.random.default_rng(10)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        out = partial_transpose(rho, [0, 1])
+        out = generalized_transpose(rho, 0b1111)
         assert np.array_equal(out, rho.mat.T)
         assert np.allclose(
             np.linalg.eigvalsh(out), np.linalg.eigvalsh(rho.mat), atol=1e-12
         )
 
     def test_bell_minimum_eigenvalue(self):
-        out = partial_transpose(bell_state("psi-"), [0])
+        out = generalized_transpose(bell_state("psi-"), 0b0011)
         assert abs(np.linalg.eigvalsh(out).min() + 0.5) < 1e-12
 
     def test_separable_states_stay_psd(self):
         for seed in range(10):
             rho = separable_mixture((2, 3), 4, seed=seed)
-            for subs in ([0], [1]):
-                low = np.linalg.eigvalsh(partial_transpose(rho, subs)).min()
+            for mask in (0b0011, 0b1100):  # {rA,cA}, {rB,cB}
+                low = np.linalg.eigvalsh(generalized_transpose(rho, mask)).min()
                 assert low > -1e-9
 
     def test_hermiticity_preserved(self):
         rng = np.random.default_rng(12)
         rho = DensityMatrix(random_state(8, rng), (2, 2, 2))
-        for subs in ([0], [1, 2]):
-            out = partial_transpose(rho, subs)
+        for mask in (0b000011, 0b111100):  # A; B and C
+            out = generalized_transpose(rho, mask)
             assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_against_naive(self):
@@ -249,17 +249,10 @@ class TestPartialTranspose:
         mat = random_state(8, rng)
         rho = DensityMatrix(mat, (2, 2, 2))
         for subs in ([0], [1], [2], [0, 1], [0, 2]):
+            mask = sum(3 << (2 * k) for k in subs)
             assert np.array_equal(
-                partial_transpose(rho, subs), naive_partial_transpose(mat, (2, 2, 2), subs)
+                generalized_transpose(rho, mask), naive_partial_transpose(mat, (2, 2, 2), subs)
             )
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(InvalidInputError, match="non-empty"):
-            partial_transpose(bell_state("phi+"), [])
-
-    def test_out_of_range_subsystem_rejected(self):
-        with pytest.raises(InvalidInputError, match=r"\[2\] out of range for 2 subsystems"):
-            partial_transpose(bell_state("phi+"), [2])
 
 
 class TestCutAndRealign:
@@ -270,8 +263,8 @@ class TestCutAndRealign:
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
         (row,) = realignment_criterion(rho)
-        assert row.shape == realign(rho).shape
-        assert abs(row.trace_norm - trace_norm(realign(rho))) < 1e-12
+        assert row.shape == generalized_transpose(rho, 0b0110).shape
+        assert abs(row.trace_norm - trace_norm(generalized_transpose(rho, 0b0110))) < 1e-12
 
     def test_ghz_first_vs_rest_norm(self):
         row = realignment_criterion(ghz_state(3))[0]  # A|BC

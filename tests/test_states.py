@@ -6,6 +6,7 @@ import pytest
 from entscan import (
     InvalidInputError,
     bell_state,
+    generalized_transpose,
     generate,
     ghz_state,
     horodecki_2x4,
@@ -13,10 +14,8 @@ from entscan import (
     isotropic_state,
     max_mixed,
     parse_state_spec,
-    partial_transpose,
     random_density,
     random_product_state,
-    realign,
     realignment_criterion,
     separable_mixture,
     spec_text,
@@ -122,25 +121,25 @@ class TestBoundEntangledFamilies:
     def test_3x3_is_ppt_positive_yet_realignment_detected(self, a):
         rho = horodecki_3x3(a)
         assert np.linalg.eigvalsh(rho.mat).min() >= -1e-9
-        for subs in ([0], [1]):
-            low = np.linalg.eigvalsh(partial_transpose(rho, subs)).min()
+        for mask in (0b0011, 0b1100):  # {rA,cA}, {rB,cB}
+            low = np.linalg.eigvalsh(generalized_transpose(rho, mask)).min()
             assert low >= -1e-9
-        assert trace_norm(realign(rho)) > 1.0 + 1e-9
+        assert trace_norm(generalized_transpose(rho, 0b0110)) > 1.0 + 1e-9
 
     @pytest.mark.parametrize("b", [round(0.1 * k, 1) for k in range(1, 10)])
     def test_2x4_is_ppt_positive(self, b):
         rho = horodecki_2x4(b)
         assert rho.dims == (2, 4)
         assert np.linalg.eigvalsh(rho.mat).min() >= -1e-9
-        for subs in ([0], [1]):
-            low = np.linalg.eigvalsh(partial_transpose(rho, subs)).min()
+        for mask in (0b0011, 0b1100):  # {rA,cA}, {rB,cB}
+            low = np.linalg.eigvalsh(generalized_transpose(rho, mask)).min()
             assert low >= -1e-9
 
     def test_endpoints_are_separable_shaped(self):
         # at the parameter endpoints realignment no longer flags the 3x3 family
         for a in (0.0, 1.0):
             rho = horodecki_3x3(a)
-            assert trace_norm(realign(rho)) <= 1.0 + 1e-9
+            assert trace_norm(generalized_transpose(rho, 0b0110)) <= 1.0 + 1e-9
 
     def test_parameter_range_enforced(self):
         for bad in (-0.2, 1.3):
@@ -164,7 +163,7 @@ class TestRandomGenerators:
 
     def test_product_state_is_a_kronecker_product(self):
         rho = random_product_state((2, 3), seed=4)
-        r = realign(rho)
+        r = generalized_transpose(rho, 0b0110)  # {cA,rB}
         # product states realign to a rank-1 matrix
         s = np.linalg.svd(r, compute_uv=False)
         assert np.all(s[1:] < 1e-12)
