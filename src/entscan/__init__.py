@@ -13,7 +13,6 @@ from .criteria import (
     CriterionReport,
     SubsetResult,
     Verdict,
-    bipartite_cuts,
     evaluate_subset,
     gpt_scan,
     negativity,
@@ -63,7 +62,6 @@ __all__ = [
     "SubsetResult",
     "Verdict",
     "bell_state",
-    "bipartite_cuts",
     "density_matrix",
     "enumerate_label_subsets",
     "evaluate_subset",

@@ -30,7 +30,7 @@ from math import isfinite, prod
 import numpy as np
 
 from . import __version__
-from .criteria import NORM_TOL, Verdict, bipartite_cuts, gpt_scan, subset_table
+from .criteria import NORM_TOL, Verdict, gpt_scan, subset_table
 
 # The report reads these from the scan; kept in this namespace for callers
 # and tracing tools that look them up here.
@@ -129,9 +129,7 @@ def load_matrix_file(path: str, scan: bool = False):
 def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
     data = {
         "dims": list(rho.dims),
-        "matrix": [
-            [[float(v.real), float(v.imag)] for v in row] for row in rho.mat
-        ],
+        "matrix": np.stack((rho.mat.real, rho.mat.imag), -1).tolist(),
     }
     if name is not None:
         data["name"] = name
@@ -149,8 +147,6 @@ def _resolve_input(text: str, scan: bool = False):
     With ``scan`` a file or spec beyond the scan limit is refused before its
     state is built.
     """
-    import os
-
     if os.path.exists(text):
         mat, dims, name = load_matrix_file(text, scan=scan)
         return density_matrix(mat, dims), (name or "")
@@ -180,9 +176,10 @@ def _subset_dict(res) -> dict:
     }
 
 
-def _subsystem_letters(res) -> str:
-    n = len(res.dims)
-    return "".join(subsystem_letter(k) for k in range(n) if res.mask >> (2 * k) & 3)
+def _letters(mask: int, n: int, bits: int) -> str:
+    """The letters of the subsystems k whose labels in ``mask`` meet ``bits``
+    (1 = r_k, 2 = c_k, 3 = either)."""
+    return "".join(subsystem_letter(k) for k in range(n) if mask >> (2 * k) & bits)
 
 
 def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
@@ -193,15 +190,13 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     ppt_rows = []
     for res in scan.ppt_results():
         row = _subset_dict(res)
-        row["subsystems"] = _subsystem_letters(res)
+        row["subsystems"] = _letters(res.mask, n, 3)
         ppt_rows.append(row)
     realignment_rows = []
-    for cut, res in zip(bipartite_cuts(n), scan.realignment_results()):
+    for res in scan.realignment_results():
         row = _subset_dict(res)
-        row["cut"] = "{}|{}".format(
-            "".join(subsystem_letter(k) for k in cut[0]),
-            "".join(subsystem_letter(k) for k in cut[1]),
-        )
+        # a cut's mask holds c_k for k on the left, r_k for k on the right
+        row["cut"] = f"{_letters(res.mask, n, 2)}|{_letters(res.mask, n, 1)}"
         realignment_rows.append(row)
     return {
         "tool": {"name": "entscan", "version": __version__},

@@ -217,30 +217,13 @@ def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
     return _ppt_rows(subset_table(rho), len(rho.dims))
 
 
-def bipartite_cuts(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All unordered two-block partitions of ``range(n)``, subsystem 0 first."""
-    cuts = []
-    full = (1 << n) - 1
-    for mask in range(1, full):
-        if not mask & 1:  # fix subsystem 0 in the first block to avoid doubles
-            continue
-        block1 = tuple(k for k in range(n) if mask & (1 << k))
-        block2 = tuple(k for k in range(n) if not mask & (1 << k))
-        cuts.append((block1, block2))
-    return cuts
-
-
-def _cut_mask(block1, block2) -> int:
-    """The label subset {c_k: k in block1} | {r_k: k in block2}, whose transpose
-    matches the cut's realignment up to row/column permutations (hence with
-    equal trace norm)."""
-    return sum(2 << (2 * k) for k in block1) | sum(1 << (2 * k) for k in block2)
-
-
 def _realignment_rows(result_for, n: int) -> list[SubsetResult]:
-    # the cut's mask keeps both labels of block1 on the row side and both of
-    # block2 on the column side: shape (d1^2, d2^2), like the realignment
-    return [result_for(_cut_mask(*cut)) for cut in bipartite_cuts(n)]
+    # the cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X), is the
+    # label subset {c_k: k in X} | {r_k: k not in X} (0b0110 at n = 2): both
+    # labels of X on the row side, both of X^c on the column side, so it is
+    # the cut's realignment up to row/column permutations, with equal trace norm
+    r_bits = ((1 << (2 * n)) - 1) // 3
+    return [result_for(r_bits ^ _pt_mask(x)) for x in range(1, (1 << n) - 1, 2)]
 
 
 def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:

@@ -234,9 +234,10 @@ class TestAnalyze:
             (b'{"name":5,"dims":[1],"matrix":[[[1,0]]]}', "field 'name' must be a string"),
             (b'{"description":5,"dims":[1],"matrix":[[[1,0]]]}',
              "field 'description' must be a string"),
+            (b"[1]", "top level must be a JSON object"),
         ],
         ids=["401-digit", "5001-digit", "not-utf8", "deep-nesting", "short-row", "numeric-name",
-             "numeric-description"],
+             "numeric-description", "top-level-array"],
     )
     def test_unparseable_files_exit_1(self, capsys, tmp_path, content, message):
         path = tmp_path / "bad.json"

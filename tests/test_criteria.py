@@ -9,7 +9,6 @@ from entscan import (
     InvalidInputError,
     Verdict,
     bell_state,
-    bipartite_cuts,
     evaluate_subset,
     format_label_set,
     generalized_transpose,
@@ -347,13 +346,25 @@ class TestEvaluateSubset:
         assert res.complement_mask == 15
 
 
-def test_bipartite_cuts_enumeration():
-    assert bipartite_cuts(2) == [((0,), (1,))]
-    assert bipartite_cuts(3) == [
-        ((0,), (1, 2)),
-        ((0, 1), (2,)),
-        ((0, 2), (1,)),
-    ]
+@pytest.mark.parametrize(
+    "spec, cuts, ppt",
+    [
+        ("bell:psi-", [(6, "A|B")], [(3, "A")]),
+        ("ghz:3", [(22, "A|BC"), (26, "AB|C"), (38, "AC|B")],
+         [(3, "A"), (12, "B"), (15, "AB")]),
+        ("ghz:4",
+         [(86, "A|BCD"), (90, "AB|CD"), (102, "AC|BD"), (106, "ABC|D"), (150, "AD|BC"),
+          (154, "ABD|C"), (166, "ACD|B")],
+         [(3, "A"), (12, "B"), (15, "AB"), (48, "C"), (51, "AC"), (60, "BC"), (63, "ABC")]),
+    ],
+    ids=["bell:psi-", "ghz:3", "ghz:4"],
+)
+def test_cut_enumeration(spec, cuts, ppt):
+    # one row per cut X|X^c with subsystem 0 in X, in order of X's bitmask;
+    # its mask holds c_k for k in X and r_k elsewhere
+    report = build_analyze_report(generate(spec), spec)
+    assert [(row["mask"], row["cut"]) for row in report["realignment"]["results"]] == cuts
+    assert [(row["mask"], row["subsystems"]) for row in report["ppt"]["results"]] == ppt
 
 
 class TestMaskEngine:

@@ -257,7 +257,7 @@ class TestPartialTranspose:
 
 class TestCutAndRealign:
     """Realignment across the cuts of a multipartite state, as the rows of
-    ``realignment_criterion`` (one per cut of ``bipartite_cuts``)."""
+    ``realignment_criterion`` (one per cut X|X^c with subsystem 0 in X)."""
 
     def test_bipartite_cut_equals_realign(self):
         rng = np.random.default_rng(14)
