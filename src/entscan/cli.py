@@ -30,11 +30,10 @@ from math import isfinite, prod
 import numpy as np
 
 from . import __version__
-from .criteria import NORM_TOL, Verdict, gpt_scan, subset_table
-
-# The report reads these from the scan; kept in this namespace for callers
-# and tracing tools that look them up here.
-from .criteria import evaluate_subset, ppt_criterion, realignment_criterion  # noqa: F401
+from .criteria import NORM_TOL, Verdict, gpt_scan, negativity, subset_table
+from .criteria import ppt_criterion, realignment_criterion
+# not called here; kept in this namespace for tracers that look it up
+from .criteria import evaluate_subset  # noqa: F401
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
     HERM_TOL_SCALE,
@@ -188,12 +187,12 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     n = len(rho.dims)
     scan = gpt_scan(rho)
     ppt_rows = []
-    for res in scan.ppt_results():
+    for res in ppt_criterion(scan):
         row = _subset_dict(res)
         row["subsystems"] = _letters(res.mask, n, 3)
         ppt_rows.append(row)
     realignment_rows = []
-    for res in scan.realignment_results():
+    for res in realignment_criterion(scan):
         row = _subset_dict(res)
         # a cut's mask holds c_k for k on the left, r_k for k on the right
         row["cut"] = f"{_letters(res.mask, n, 2)}|{_letters(res.mask, n, 1)}"
@@ -223,7 +222,7 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
         },
         "verdict": scan.verdict.value,
         "measure_e": scan.measure_e,
-        "negativity_per_subsystem": list(scan.negativity_per_subsystem),
+        "negativity_per_subsystem": [negativity(scan, k) for k in range(n)],
     }
 
 

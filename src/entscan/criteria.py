@@ -2,8 +2,8 @@
 
 All criteria here are necessary conditions for separability: a violation
 certifies entanglement, while passing proves nothing, so the only negative
-verdict is UNDETECTED. Every criterion reads its rows from
-:func:`subset_table`, so each refuses input that is not a state.
+verdict is UNDETECTED. Every criterion reads its rows from the one
+:func:`gpt_scan` report, whose table refuses input that is not a state.
 """
 
 from collections.abc import Callable
@@ -107,18 +107,6 @@ class CriterionReport:
         """Masks of the violating subsets, in scan order."""
         return tuple(res.mask for res in self.results if res.violating)
 
-    @property
-    def negativity_per_subsystem(self) -> tuple[float, ...]:
-        return tuple(_excess(self.lookup(3 << (2 * k))) for k in range(len(self.dims)))
-
-    def ppt_results(self) -> list[SubsetResult]:
-        """:func:`ppt_criterion`, read from the scan."""
-        return _ppt_rows(self.lookup, len(self.dims))
-
-    def realignment_results(self) -> list[SubsetResult]:
-        """:func:`realignment_criterion` over all cuts, read from the scan."""
-        return _realignment_rows(self.lookup, len(self.dims))
-
 
 def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]:
     """``(trace_norm, min_eigenvalue)`` of the ``mask`` transpose, with one solver
@@ -164,8 +152,8 @@ def _representative(mask: int, n: int) -> int:
 
 def subset_table(rho: DensityMatrix):
     """``mask -> SubsetResult`` for any of the 4^n masks of ``rho``, the one
-    source of rows for the scan, the standalone criteria and ``norms``, so
-    they agree bitwise.
+    source of rows for the scan (so for every criterion read from it) and
+    ``norms``, so they agree bitwise.
 
     Solves mask 0 (the input itself) first and raises
     :class:`InvalidInputError` when its trace norm exceeds 1 + ``NORM_TOL``:
@@ -201,53 +189,6 @@ def subset_table(rho: DensityMatrix):
     return row
 
 
-def _ppt_rows(result_for, n: int) -> list[SubsetResult]:
-    # subsystem subsets without subsystem n-1: one of each complement pair
-    return [result_for(_pt_mask(subsystems)) for subsystems in range(1, 1 << (n - 1))]
-
-
-def ppt_criterion(rho: DensityMatrix) -> list[SubsetResult]:
-    """Every non-trivial partial transposition, as scan rows.
-
-    One result per subsystem subset X (complements deduped, so 2^(n-1) - 1
-    results). A row violates, like every scan row, iff its trace norm exceeds
-    1 + ``NORM_TOL`` + ``slack``; on a state that is a negative eigenvalue,
-    which ``min_eigenvalue`` reports.
-    """
-    return _ppt_rows(subset_table(rho), len(rho.dims))
-
-
-def _realignment_rows(result_for, n: int) -> list[SubsetResult]:
-    # the cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X), is the
-    # label subset {c_k: k in X} | {r_k: k not in X} (0b0110 at n = 2): both
-    # labels of X on the row side, both of X^c on the column side, so it is
-    # the cut's realignment up to row/column permutations, with equal trace norm
-    r_bits = ((1 << (2 * n)) - 1) // 3
-    return [result_for(r_bits ^ _pt_mask(x)) for x in range(1, (1 << n) - 1, 2)]
-
-
-def realignment_criterion(rho: DensityMatrix) -> list[SubsetResult]:
-    """Trace norm of the realignment across every bipartite cut.
-
-    Any norm above 1 + ``NORM_TOL`` + ``slack`` certifies entanglement.
-    """
-    if len(rho.dims) < 2:
-        raise InvalidInputError("realignment_criterion requires at least 2 subsystems")
-    return _realignment_rows(subset_table(rho), len(rho.dims))
-
-
-def negativity(rho: DensityMatrix, subsystem: int) -> float:
-    """(trace norm of the subsystem's partial transpose - 1) / 2; exactly 0
-    unless that row violates.
-
-    Reads the same eigenvalues as ``gpt_scan``, so the two agree bitwise.
-    """
-    k, n = int(subsystem), len(rho.dims)
-    if not 0 <= k < n:
-        raise InvalidInputError(f"subsystem {k} out of range for {n} subsystems")
-    return _excess(subset_table(rho)(3 << (2 * k)))
-
-
 def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     """Evaluate every enumerated label subset and assemble the verdict.
 
@@ -265,3 +206,39 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     return CriterionReport(rho.dims, results, best, table)
 
+
+def ppt_criterion(scan: CriterionReport) -> list[SubsetResult]:
+    """Every non-trivial partial transposition, read from ``scan``.
+
+    One row per subsystem subset X without the last subsystem (X and its
+    complement share a spectrum), so 2^(n-1) - 1 rows, in order of X's
+    bitmask. A row violates, like every scan row, iff its trace norm exceeds
+    1 + ``NORM_TOL`` + ``slack``; on a state that is a negative eigenvalue,
+    which ``min_eigenvalue`` reports.
+    """
+    return [scan.lookup(_pt_mask(x)) for x in range(1, 1 << (len(scan.dims) - 1))]
+
+
+def realignment_criterion(scan: CriterionReport) -> list[SubsetResult]:
+    """The realignment across every bipartite cut, read from ``scan``; no
+    rows for a single subsystem.
+
+    The cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X), is the
+    label subset {c_k: k in X} | {r_k: k not in X} (0b0110 at n = 2): both
+    labels of X on the row side, both of X^c on the column side, so it is
+    the cut's realignment up to row/column permutations, with equal trace
+    norm. Any norm above 1 + ``NORM_TOL`` + ``slack`` certifies entanglement.
+    """
+    n = len(scan.dims)
+    r_bits = ((1 << (2 * n)) - 1) // 3
+    return [scan.lookup(r_bits ^ _pt_mask(x)) for x in range(1, (1 << n) - 1, 2)]
+
+
+def negativity(scan: CriterionReport, subsystem: int) -> float:
+    """(trace norm of the subsystem's partial transpose - 1) / 2, read from
+    ``scan``; exactly 0 unless that row violates."""
+    n = len(scan.dims)
+    # an int, not a bool: int() would read 1.9, "1" and True as subsystem 1
+    if not isinstance(subsystem, int) or isinstance(subsystem, bool) or not 0 <= subsystem < n:
+        raise InvalidInputError(f"subsystem {subsystem!r} out of range: need an int in [0, {n})")
+    return _excess(scan.lookup(3 << (2 * subsystem)))

@@ -38,8 +38,16 @@ def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
     return ("", r, c, f"{r},{c}")
 
 
+def _check_mask(mask: int, n: int) -> None:
+    if mask >> (2 * n):
+        raise InvalidInputError(
+            f"mask {mask} names a label that does not exist for {n} subsystem(s)"
+        )
+
+
 def format_label_set(mask: int, n: int) -> str:
     """Render the labels in ``mask`` like ``"rA,cA"`` (subsystem order, r before c)."""
+    _check_mask(mask, n)
     # one table lookup per subsystem: a report formats two label sets per row
     parts = []
     for k in range(n):
@@ -85,10 +93,7 @@ def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
     """
     dims = rho.dims
     n = len(dims)
-    if mask >> (2 * n):
-        raise InvalidInputError(
-            f"mask {mask} names a label that does not exist for {n} subsystem(s)"
-        )
+    _check_mask(mask, n)
     rows, cols = [], []
     for k in range(n):
         # c varies slower than r when both labels of a subsystem share a side

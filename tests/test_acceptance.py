@@ -98,7 +98,7 @@ def test_criterion_03_bell_singlet_values():
     pt = generalized_transpose(rho, 0b11)  # {rA,cA}
     realigned = generalized_transpose(rho, 0b0110)  # {cA,rB}
     pt_norm = trace_norm(pt)
-    neg = negativity(rho, 0)
+    neg = negativity(gpt_scan(rho), 0)
     realign_norm = trace_norm(realigned)
     e_val = gpt_scan(rho).measure_e
     ok = (
@@ -236,7 +236,7 @@ def test_criterion_10_measure_ordering_and_convexity():
         rank = 1 + trial % int(np.prod(dims))
         rho = random_density(dims, rank=rank, seed=trial)
         e_val = gpt_scan(rho).measure_e
-        best_neg = max(negativity(rho, k) for k in range(len(dims)))
+        best_neg = max(negativity(gpt_scan(rho), k) for k in range(len(dims)))
         if e_val < best_neg - 1e-10:
             ordering_ok = False
 

@@ -183,6 +183,24 @@ class TestAnalyze:
         assert out == ""
         assert "eigensolver did not converge" in err
 
+    def test_report_calls_the_criteria_on_its_one_scan(self, capsys, monkeypatch):
+        # a tracer times PPT and realignment by wrapping these two names in
+        # cli's namespace; the report must go through them, once each
+        plain = run(capsys, "analyze", "ghz:3", "--format", "json")
+        calls = []
+
+        def counted(fn):
+            def wrapper(scan):
+                calls.append((fn.__name__, scan))
+                return fn(scan)
+            return wrapper
+
+        for name in ("ppt_criterion", "realignment_criterion"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        assert run(capsys, "analyze", "ghz:3", "--format", "json") == plain
+        assert sorted(name for name, _ in calls) == ["ppt_criterion", "realignment_criterion"]
+        assert all(isinstance(scan, entscan.CriterionReport) for _, scan in calls)
+
     def test_bad_spec_and_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "nosuchfamily:1")
         assert code == 1

@@ -49,7 +49,7 @@ def werner_pt_norm(p):
 
 class TestPptCriterion:
     def test_bell_singlet(self):
-        results = ppt_criterion(bell_state("psi-"))
+        results = ppt_criterion(gpt_scan(bell_state("psi-")))
         assert len(results) == 1
         res = results[0]
         assert format_label_set(res.mask, 2) == "rA,cA"
@@ -59,33 +59,33 @@ class TestPptCriterion:
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3])
     def test_werner_below_threshold(self, p):
-        for res in ppt_criterion(werner_state(p)):
+        for res in ppt_criterion(gpt_scan(werner_state(p))):
             assert abs(res.trace_norm - 1.0) < 1e-10
             assert res.min_eigenvalue > -1e-10
             assert not res.violating
 
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0])
     def test_werner_above_threshold(self, p):
-        (res,) = ppt_criterion(werner_state(p))
+        (res,) = ppt_criterion(gpt_scan(werner_state(p)))
         assert abs(res.trace_norm - werner_pt_norm(p)) < 1e-10
         assert abs(res.min_eigenvalue - (1 - 3 * p) / 4) < 1e-10
         assert res.violating
 
     def test_product_states_pass(self):
         for seed in range(5):
-            for res in ppt_criterion(separable_mixture((2, 2, 2), 1, seed=seed)):
+            for res in ppt_criterion(gpt_scan(separable_mixture((2, 2, 2), 1, seed=seed))):
                 assert not res.violating
                 assert abs(res.trace_norm - 1.0) < 1e-10
 
     def test_subset_count_dedupes_complements(self):
-        assert len(ppt_criterion(ghz_state(3))) == 3
-        assert len(ppt_criterion(max_mixed((2,)))) == 0
+        assert len(ppt_criterion(gpt_scan(ghz_state(3)))) == 3
+        assert len(ppt_criterion(gpt_scan(max_mixed((2,))))) == 0
 
     def test_near_threshold_row_follows_the_scan_rule(self):
         # min eig -6e-10 is above -1e-9, but the trace norm 1 + 1.2e-9 is
         # past 1 + NORM_TOL: the PPT row violates, like the scan's row for it
         rho = werner_state(0.3333333341333333)
-        (res,) = ppt_criterion(rho)
+        (res,) = ppt_criterion(gpt_scan(rho))
         assert -1e-9 < res.min_eigenvalue < 0.0
         assert res.trace_norm > 1.0 + NORM_TOL
         assert res.violating
@@ -97,22 +97,22 @@ class TestPptCriterion:
 
 class TestRealignmentCriterion:
     def test_bell(self):
-        (res,) = realignment_criterion(bell_state("psi-"))
+        (res,) = realignment_criterion(gpt_scan(bell_state("psi-")))
         assert abs(res.trace_norm - 2.0) < 1e-9
         assert res.violating
         assert format_label_set(res.mask, 2) == "cA,rB"
 
     def test_maximally_mixed_two_qubits(self):
-        (res,) = realignment_criterion(max_mixed((2, 2)))
+        (res,) = realignment_criterion(gpt_scan(max_mixed((2, 2))))
         assert abs(res.trace_norm - 0.5) < 1e-12
         assert not res.violating
 
-    def test_requires_two_subsystems(self):
-        with pytest.raises(InvalidInputError, match="at least 2"):
-            realignment_criterion(max_mixed((4,)))
+    def test_single_subsystem_has_no_cuts(self):
+        # like ppt_criterion: a lone subsystem has nothing to cut
+        assert realignment_criterion(gpt_scan(max_mixed((4,)))) == []
 
     def test_cut_count(self):
-        assert len(realignment_criterion(ghz_state(3))) == 3
+        assert len(realignment_criterion(gpt_scan(ghz_state(3)))) == 3
 
     def test_werner_threshold_bisection_against_naive(self):
         # locate the realignment threshold with the naive-block oracle only
@@ -128,8 +128,8 @@ class TestRealignmentCriterion:
                 lo = mid
         assert abs(0.5 * (lo + hi) - 1 / 3) < 1e-6
         # and the package agrees on a point either side
-        assert not realignment_criterion(werner_state(1 / 3 - 0.01))[0].violating
-        assert realignment_criterion(werner_state(1 / 3 + 0.01))[0].violating
+        assert not realignment_criterion(gpt_scan(werner_state(1 / 3 - 0.01)))[0].violating
+        assert realignment_criterion(gpt_scan(werner_state(1 / 3 + 0.01)))[0].violating
 
 
 class TestGptScan:
@@ -193,10 +193,10 @@ class TestGptScan:
         [
             gpt_scan,
             lambda rho: gpt_scan(rho).measure_e,
-            ppt_criterion,
-            realignment_criterion,
-            lambda rho: negativity(rho, 0),
-            lambda rho: negativity(rho, 1),
+            lambda rho: ppt_criterion(gpt_scan(rho)),
+            lambda rho: realignment_criterion(gpt_scan(rho)),
+            lambda rho: negativity(gpt_scan(rho), 0),
+            lambda rho: negativity(gpt_scan(rho), 1),
             lambda rho: subset_table(rho)(6),
         ],
         ids=["gpt_scan", "measure_e", "ppt", "realignment", "negativity0", "negativity1",
@@ -220,7 +220,7 @@ class TestGptScan:
         assert report.argmax.slack > 0.0
         assert report.verdict is Verdict.UNDETECTED
         assert report.violations == () and report.measure_e == 0.0
-        assert negativity(rho, 0) == 0.0
+        assert negativity(report, 0) == 0.0
 
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds
@@ -254,20 +254,20 @@ class TestGptScan:
 
 class TestNegativity:
     def test_bell(self):
-        assert abs(negativity(bell_state("psi-"), 0) - 0.5) < 1e-9
+        assert abs(negativity(gpt_scan(bell_state("psi-")), 0) - 0.5) < 1e-9
 
     def test_product_state(self):
         rho = separable_mixture((2, 2), 1, seed=1)
-        assert negativity(rho, 0) == 0.0
-        assert negativity(rho, 1) == 0.0
+        assert negativity(gpt_scan(rho), 0) == 0.0
+        assert negativity(gpt_scan(rho), 1) == 0.0
 
     def test_werner_half(self):
-        assert abs(negativity(werner_state(0.5), 0) - 1 / 8) < 1e-9
+        assert abs(negativity(gpt_scan(werner_state(0.5)), 0) - 1 / 8) < 1e-9
 
     def test_werner_analytic_formula(self):
         for p in np.linspace(0, 1, 11):
             expected = max(0.0, (3 * p - 1) / 4)
-            assert abs(negativity(werner_state(p), 0) - expected) < 1e-10
+            assert abs(negativity(gpt_scan(werner_state(p)), 0) - expected) < 1e-10
 
     @pytest.mark.parametrize(
         "rho",
@@ -281,14 +281,21 @@ class TestNegativity:
     def test_ppt_states_read_exactly_zero(self, rho):
         # rounding lifts these partial-transpose norms a few ulp above 1
         scan = gpt_scan(rho)
+        report = build_analyze_report(rho, "")
         for k in range(len(rho.dims)):
-            assert negativity(rho, k) == 0.0
-            assert scan.negativity_per_subsystem[k] == 0.0
+            assert negativity(scan, k) == 0.0
+            assert report["negativity_per_subsystem"][k] == 0.0
 
     def test_subsystem_out_of_range(self):
         for k in (-1, 2):
             with pytest.raises(InvalidInputError, match="out of range"):
-                negativity(bell_state("psi-"), k)
+                negativity(gpt_scan(bell_state("psi-")), k)
+
+    @pytest.mark.parametrize("k", [1.9, "1", True, 1.0], ids=["float", "str", "bool", "whole"])
+    def test_subsystem_must_be_an_int(self, k):
+        # int() reads each of these as subsystem 1
+        with pytest.raises(InvalidInputError, match="need an int"):
+            negativity(gpt_scan(bell_state("psi-")), k)
 
 
 class TestMeasureE:
@@ -305,7 +312,7 @@ class TestMeasureE:
             rho = random_density((2, 2), seed=seed)
             e_val = gpt_scan(rho).measure_e
             for k in (0, 1):
-                assert e_val >= negativity(rho, k) - 1e-10
+                assert e_val >= negativity(gpt_scan(rho), k) - 1e-10
 
     def test_convexity(self):
         rng = np.random.default_rng(30)
@@ -412,7 +419,8 @@ class TestMaskEngine:
     )
     def test_analyze_matches_standalone_criteria(self, rho):
         report = build_analyze_report(rho, "")
-        ppt = ppt_criterion(rho)
+        scan = gpt_scan(rho)  # a second scan, independent of the report's
+        ppt = ppt_criterion(scan)
         assert len(report["ppt"]["results"]) == len(ppt)
         for row, res in zip(report["ppt"]["results"], ppt):
             assert row["mask"] == res.mask
@@ -420,7 +428,7 @@ class TestMaskEngine:
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
             assert row["min_eigenvalue"] == res.min_eigenvalue
-        realign = realignment_criterion(rho)
+        realign = realignment_criterion(scan)
         assert len(report["realignment"]["results"]) == len(realign)
         for row, res in zip(report["realignment"]["results"], realign):
             assert row["mask"] == res.mask
@@ -428,7 +436,7 @@ class TestMaskEngine:
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
         for k, value in enumerate(report["negativity_per_subsystem"]):
-            assert value == negativity(rho, k)
+            assert value == negativity(scan, k)
 
     def test_analyze_solves_each_subset_once(self, monkeypatch):
         calls = count_solver_calls(monkeypatch)

@@ -33,6 +33,13 @@ def test_removed_wrapper_is_absent(module, name):
     assert name not in entscan.__all__
 
 
+# the criteria read gpt_scan's report; the report holds no second reader
+@pytest.mark.parametrize("member", ["ppt_results", "realignment_results",
+                                    "negativity_per_subsystem"])
+def test_report_has_no_duplicate_reader(member):
+    assert not hasattr(entscan.CriterionReport, member)
+
+
 def test_readme_library_example_runs(capsys):
     # a name removed from the package but left in README fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -11,6 +11,7 @@ from entscan import (
     format_label_set,
     generalized_transpose,
     ghz_state,
+    gpt_scan,
     parse_label_set,
     realignment_criterion,
     separable_mixture,
@@ -262,12 +263,12 @@ class TestCutAndRealign:
     def test_bipartite_cut_equals_realign(self):
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        (row,) = realignment_criterion(rho)
+        (row,) = realignment_criterion(gpt_scan(rho))
         assert row.shape == generalized_transpose(rho, 0b0110).shape
         assert abs(row.trace_norm - trace_norm(generalized_transpose(rho, 0b0110))) < 1e-12
 
     def test_ghz_first_vs_rest_norm(self):
-        row = realignment_criterion(ghz_state(3))[0]  # A|BC
+        row = realignment_criterion(gpt_scan(ghz_state(3)))[0]  # A|BC
         assert row.shape == (4, 16)
         assert abs(row.trace_norm - 2.0) < 1e-12
 
@@ -276,7 +277,7 @@ class TestCutAndRealign:
         mats = [random_state(2, rng) for _ in range(3)]
         mat = np.kron(np.kron(mats[0], mats[1]), mats[2])
         rho = DensityMatrix(mat, (2, 2, 2))
-        rows = realignment_criterion(rho)
+        rows = realignment_criterion(gpt_scan(rho))
         assert len(rows) == 3  # A|BC, AB|C, AC|B: every block and its complement
         for row in rows:
             assert row.trace_norm <= 1.0 + 1e-10
@@ -289,7 +290,7 @@ class TestCutAndRealign:
         tensor = rho.mat.reshape((2,) * 6)
         regrouped = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
         expected = naive_trace_norm(naive_realign(regrouped, (4, 2)))
-        row = realignment_criterion(rho)[2]  # AC|B
+        row = realignment_criterion(gpt_scan(rho))[2]  # AC|B
         assert row.shape == (16, 4)
         assert abs(row.trace_norm - expected) < 1e-12
 
@@ -371,3 +372,12 @@ class TestLabelText:
     def test_duplicate(self):
         with pytest.raises(InvalidInputError, match="duplicate"):
             parse_label_set("rA,rA", 2)
+
+    @pytest.mark.parametrize("mask", [16, 0b0110 | 1 << 9, -1], ids=["rC", "cA,rB,cE", "negative"])
+    def test_refuses_a_mask_naming_no_label(self, mask):
+        # two subsystems have labels at bits 0-3 only; a higher bit was
+        # dropped from the text, and 16 printed as the empty set
+        with pytest.raises(
+            InvalidInputError, match=rf"^mask {mask} names a label that does not exist for 2 "
+        ):
+            format_label_set(mask, 2)

@@ -9,6 +9,7 @@ from entscan import (
     generalized_transpose,
     generate,
     ghz_state,
+    gpt_scan,
     horodecki_2x4,
     horodecki_3x3,
     isotropic_state,
@@ -171,7 +172,7 @@ class TestRandomGenerators:
     def test_separable_mixture_passes_realignment(self):
         for seed in range(25):
             rho = separable_mixture((2, 2), 6, seed=seed)
-            assert not realignment_criterion(rho)[0].violating
+            assert not realignment_criterion(gpt_scan(rho))[0].violating
 
     def test_random_density_rank_control(self):
         rho = random_density((2, 2), rank=2, seed=8)
