@@ -16,6 +16,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
 from .reshape import (
+    _check_mask,
     enumerate_label_subsets,
     format_label_set,
     generalized_transpose,
@@ -142,9 +143,8 @@ def _representative(mask: int, n: int) -> int:
     bitwise Hermitian, so this is exact, not approximate. Raises
     :class:`InvalidInputError` unless ``mask`` is one of the 4^n masks.
     """
+    _check_mask(mask, n)
     full = (1 << (2 * n)) - 1
-    if not 0 <= mask <= full:
-        raise InvalidInputError(f"mask {mask} out of range [0, {full + 1}) for {n} subsystems")
     r_bits = full // 3
     swapped = ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
     return min(mask, full ^ mask, swapped, full ^ swapped)

@@ -41,7 +41,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -131,7 +131,7 @@ class DensityMatrix:
                 f"dims {dims} multiply to {prod(dims)}, but the matrix side is {rows}"
             )
         herm_tol = HERM_TOL_SCALE * max(1.0, float(np.linalg.norm(mat)))
-        residual = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
+        residual = float(np.abs(mat - mat.conj().T).max())
         if residual > herm_tol:
             raise InvalidInputError(
                 f"matrix is not Hermitian: max |m - m^dag| = {residual:.3e} > {herm_tol:.3e}"

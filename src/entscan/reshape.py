@@ -39,10 +39,9 @@ def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
 
 
 def _check_mask(mask: int, n: int) -> None:
+    """Raise unless ``mask`` is one of the 4^n masks; a negative mask shifts to -1."""
     if mask >> (2 * n):
-        raise InvalidInputError(
-            f"mask {mask} names a label that does not exist for {n} subsystem(s)"
-        )
+        raise InvalidInputError(f"mask {mask} out of range [0, {1 << (2 * n)}) for {n} subsystems")
 
 
 def format_label_set(mask: int, n: int) -> str:

@@ -508,6 +508,17 @@ def _subprocess_env(**overrides) -> dict:
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path, **overrides)
 
 
+def test_subprocesses_import_the_package_this_suite_imports():
+    # the suite may run on an installed copy; a subprocess that fell back
+    # to another copy (say the checkout's src/) would quietly test that one
+    proc = subprocess.run(
+        [sys.executable, "-c", "import entscan; print(entscan.__file__)"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == entscan.__file__ + "\n"
+
+
 def _analyze_in_subprocess(spec, blas_threads):
     proc = subprocess.run(
         [sys.executable, "-m", "entscan.cli", "analyze", spec, "--format", "json"],

@@ -399,12 +399,16 @@ class TestMaskEngine:
 
     @pytest.mark.parametrize("mask", [16, 100, -1])
     def test_mask_outside_the_table_is_refused(self, mask):
-        # two subsystems have the 16 masks 0..15; both entry points refuse
-        # any other, naming the mask they were given
+        # two subsystems have the 16 masks 0..15; one range check refuses any
+        # other, in the same words from the table, the scan's lookup, the
+        # transpose and the label text, naming the mask it was given
         rho = bell_state("psi-")
-        for read in (subset_table(rho), gpt_scan(rho).lookup):
-            with pytest.raises(InvalidInputError, match=rf"^mask {mask} out of range \[0, 16\)"):
+        entry_points = (subset_table(rho), gpt_scan(rho).lookup,
+                        lambda m: generalized_transpose(rho, m), lambda m: format_label_set(m, 2))
+        for read in entry_points:
+            with pytest.raises(InvalidInputError) as info:
                 read(mask)
+            assert str(info.value) == f"mask {mask} out of range [0, 16) for 2 subsystems"
 
     @pytest.mark.parametrize(
         "rho",
