@@ -6,7 +6,9 @@ family), ``generate`` (write a matrix file).
 
 Exit codes: 0 = ran fine / nothing detected, 1 = input error or a reader
 that closed stdout early, 2 = numerical failure or out of memory,
-3 = entanglement certified (analyze only). The tolerances are fixed
+3 = entanglement certified (analyze only). JSON is written in blocks of
+about 32 KB, so a write that fails midway (exit 1 or 2) leaves a truncated
+report on stdout. The tolerances are fixed
 constants, listed in the analyze report. Input whose own trace norm (scan
 mask 0) exceeds 1 + NORM_TOL is not a state and exits 1: analyze and norms
 read every row from ``criteria.subset_table``, which refuses it before
@@ -25,6 +27,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import islice
 from math import isfinite, prod
 
 import numpy as np
@@ -55,6 +58,7 @@ from .states import (
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 GRID_POINTS = 33  # scan-family samples before bisection
+_WRITE_CHUNKS = 4096  # encoder chunks per JSON write, about 32 KB of text
 
 
 # --- matrix files -----------------------------------------------------------
@@ -125,6 +129,15 @@ def load_matrix_file(path: str, scan: bool = False):
     return mat, tuple(dims), name
 
 
+def _write_json(fh, obj, **encoder_options) -> None:
+    """Write ``obj`` as JSON, then a newline, to ``fh`` in blocks of
+    ``_WRITE_CHUNKS`` encoder chunks, never holding the whole text."""
+    chunks = json.JSONEncoder(**encoder_options).iterencode(obj)
+    while block := "".join(islice(chunks, _WRITE_CHUNKS)):
+        fh.write(block)
+    fh.write("\n")
+
+
 def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
     data = {
         "dims": list(rho.dims),
@@ -134,8 +147,7 @@ def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
         data["name"] = name
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1)
-            fh.write("\n")
+            _write_json(fh, data, indent=1)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
 
@@ -305,8 +317,7 @@ def render_human_analyze(report: dict) -> str:
 
 def _emit(report: dict, fmt: str, human_renderer) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True))
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, report, indent=2, sort_keys=True)
     else:
         sys.stdout.write(human_renderer(report))
 

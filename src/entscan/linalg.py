@@ -85,7 +85,6 @@ def singular_values(a) -> np.ndarray:
         s = np.linalg.svd(tall, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge for {matrix_fingerprint(arr)}") from exc
-    s = np.maximum(s, 0.0)
     s.setflags(write=False)
     return s
 

@@ -501,6 +501,68 @@ class TestDeterminism:
         assert first == second
 
 
+class _WriteLog:
+    """A stdout that keeps every write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestJsonWriter:
+    """JSON goes out in blocks, byte-identical to the one-string dump."""
+
+    @staticmethod
+    def emitted(monkeypatch, capsys, *argv):
+        """The report a command hands to ``_emit``, and its JSON stdout."""
+        reports = []
+        emit = cli._emit
+
+        def spy(report, *rest):
+            reports.append(report)
+            emit(report, *rest)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        (report,) = reports
+        return report, out
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "bell:psi-"),
+        ("analyze", "maxmixed:2x2x2x2x2"),  # about 163 KB: several blocks
+        ("norms", "bell:psi-", "cA,rB"),
+        ("scan-family", "werner", "--min", "0", "--max", "1"),
+    ])
+    def test_stdout_equals_the_one_string_dump(self, monkeypatch, capsys, argv):
+        report, out = self.emitted(monkeypatch, capsys, *argv)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_generated_file_equals_the_one_string_dump(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        assert run(capsys, "generate", "randomdm:4x4x4,64,1", str(path))[0] == 0
+        mat = generate("randomdm:4x4x4,64,1").mat
+        data = {
+            "dims": [4, 4, 4],
+            "matrix": np.stack((mat.real, mat.imag), -1).tolist(),
+            "name": "randomdm:4x4x4,64,1",
+        }
+        assert path.read_bytes() == (json.dumps(data, indent=1) + "\n").encode()
+
+    def test_a_large_report_is_written_in_bounded_blocks(self, monkeypatch, capsys):
+        log = _WriteLog()
+        monkeypatch.setattr(sys, "stdout", log)
+        report, _ = self.emitted(monkeypatch, capsys, "analyze", "maxmixed:2x2x2x2x2")
+        assert len(log.writes) >= 4
+        assert max(map(len, log.writes)) <= 64 * 1024
+        assert "".join(log.writes) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def _subprocess_env(**overrides) -> dict:
     """The environment, with this checkout's ``entscan`` first on the path."""
     src = os.path.dirname(os.path.dirname(entscan.__file__))

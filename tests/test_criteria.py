@@ -1,5 +1,7 @@
 """Tests for criterion evaluation and entanglement quantification."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from entscan import (
     werner_state,
 )
 from entscan.cli import build_analyze_report
-from entscan.criteria import _representative, subset_table
+from entscan.criteria import SubsetResult, _representative, subset_table
 from entscan.linalg import TRACE_TOL
 
 from reference import (
@@ -221,6 +223,18 @@ class TestGptScan:
         assert report.verdict is Verdict.UNDETECTED
         assert report.violations == () and report.measure_e == 0.0
         assert negativity(report, 0) == 0.0
+
+    @pytest.mark.parametrize("slack", [0.0, 3e-9])
+    def test_a_norm_at_the_threshold_does_not_violate(self, slack):
+        # the rule is strict: trace norm > 1 + NORM_TOL + slack
+        threshold = 1.0 + NORM_TOL + slack
+
+        def row(norm):
+            return SubsetResult(mask=6, dims=(2, 2), trace_norm=norm,
+                                min_eigenvalue=None, slack=slack)
+
+        assert not row(threshold).violating
+        assert row(math.nextafter(threshold, 2.0)).violating
 
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds

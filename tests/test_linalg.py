@@ -239,6 +239,15 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="Hermitian"):
             DensityMatrix(mat, (2, 2))
 
+    def test_rejects_a_1e_9_residual_at_unit_frobenius_norm(self):
+        # the tolerance is HERM_TOL_SCALE * max(1, fro) = 1e-10 here
+        mat = np.eye(2, dtype=complex) / 2
+        mat[0, 1] = 1e-9
+        assert np.abs(mat - mat.conj().T).max() == 1e-9
+        assert np.linalg.norm(mat) <= 1
+        with pytest.raises(InvalidInputError, match=r"Hermitian: .* = 1\.000e-09 > 1\.000e-10$"):
+            DensityMatrix(mat, (2,))
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidInputError, match="trace"):
             DensityMatrix(np.eye(4) / 5, (2, 2))
