@@ -63,18 +63,14 @@ _WRITE_CHUNKS = 4096  # encoder chunks per JSON write, about 32 KB of text
 
 # --- matrix files -----------------------------------------------------------
 
-def _is_number(value, types) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
 def load_matrix_file(path: str, scan: bool = False):
     """Read a matrix file: dims, D x D entries as [re, im] pairs, metadata.
 
     Returns ``(matrix, dims, name)``; raises
     :class:`InvalidInputError` with the offending line or field on any
-    malformed content. With ``scan`` a file beyond the scan limit is refused
-    as soon as its ``dims`` are read, before the matrix is built.
+    malformed content. The whole JSON is parsed first; with ``scan`` a file
+    beyond the scan limit is then refused on its ``dims``, before its matrix
+    is checked or converted.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,7 +88,7 @@ def load_matrix_file(path: str, scan: bool = False):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
     dims = data.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        _is_number(d, int) and d >= 1 for d in dims
+        type(d) is int and d >= 1 for d in dims  # JSON true/false load as bool
     ):
         raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
     check_dimension(dims, f"{path}: field 'dims'")
@@ -102,25 +98,23 @@ def load_matrix_file(path: str, scan: bool = False):
     rows = data.get("matrix")
     if not isinstance(rows, list) or len(rows) != side:
         raise InvalidInputError(f"{path}: field 'matrix' must be a {side}x{side} array")
-    mat = np.zeros((side, side), dtype=complex)
+    # exact types, as json.load returns them: np.array would also read true
+    # and numeric strings as numbers
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != side:
+        if type(row) is not list or len(row) != side:
             raise InvalidInputError(f"{path}: matrix[{i}] must have {side} entries")
         for j, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(_is_number(v, (int, float)) for v in cell)
-            ):
+            if not (type(cell) is list and len(cell) == 2
+                    and type(cell[0]) in (int, float) and type(cell[1]) in (int, float)):
                 raise InvalidInputError(
                     f"{path}: matrix[{i}][{j}] must be a [re, im] pair of numbers"
                 )
-            try:
-                mat[i, j] = complex(cell[0], cell[1])
-            except OverflowError:
-                raise InvalidInputError(
-                    f"{path}: matrix[{i}][{j}] holds a number too large for a double"
-                ) from None
+    try:  # a [re, im] pair is the float64 layout of one complex128 entry
+        mat = np.array(rows, dtype=float).view(complex)[..., 0]
+    except OverflowError:
+        raise InvalidInputError(
+            f"{path}: field 'matrix' holds a number too large for a double"
+        ) from None
     name = data.get("name")
     description = data.get("description")
     for field, value in (("name", name), ("description", description)):
@@ -141,7 +135,7 @@ def _write_json(fh, obj, **encoder_options) -> None:
 def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
     data = {
         "dims": list(rho.dims),
-        "matrix": np.stack((rho.mat.real, rho.mat.imag), -1).tolist(),
+        "matrix": rho.mat.view(float).reshape(rho.dim, rho.dim, 2).tolist(),
     }
     if name is not None:
         data["name"] = name

@@ -199,10 +199,11 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
 
     Results come in canonical (mask-ascending) subset order. Ties for the
     largest norm resolve to the earliest subset in that order. Refuses input
-    that is not a state, through :func:`subset_table`, before solving the rest.
+    beyond the scan limit before any solve, a non-state in :func:`subset_table`.
     """
+    masks = enumerate_label_subsets(len(rho.dims))
     table = subset_table(rho)
-    results = tuple(map(table, enumerate_label_subsets(len(rho.dims))))
+    results = tuple(map(table, masks))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
     return CriterionReport(rho.dims, results, best, table)
 

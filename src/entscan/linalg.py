@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from dataclasses import dataclass, field
 from math import prod
+from operator import index
 
 import numpy as np
 
@@ -119,7 +120,9 @@ class DensityMatrix:
         rows, cols = mat.shape
         if rows != cols:
             raise InvalidInputError(f"density matrix must be square, got shape {mat.shape}")
-        dims = tuple(int(d) for d in self.dims)
+        if not all(hasattr(d, "__index__") and not isinstance(d, bool) for d in self.dims):
+            raise InvalidInputError(f"subsystem dimensions must be integers, got {self.dims!r}")
+        dims = tuple(map(index, self.dims))  # numpy ints too; int() reads 2.5 and "2" as 2
         if not dims or any(d < 1 for d in dims):
             raise InvalidInputError(f"subsystem dimensions must be positive, got {dims}")
         limit = MAX_KRON_DIM.bit_length() - 1

@@ -21,7 +21,9 @@ from entscan import (
     horodecki_2x4,
     horodecki_3x3,
     negativity,
+    ppt_criterion,
     random_density,
+    realignment_criterion,
     separable_mixture,
     singular_values,
     trace_norm,
@@ -30,8 +32,12 @@ from entscan import (
 from entscan.cli import main
 
 from reference import (
+    all_flip_sets,
+    naive_generalized_transpose,
     naive_partial_transpose,
     naive_realign,
+    naive_trace_norm,
+    naive_witness,
     random_local_unitary,
     random_state,
     vec,
@@ -309,3 +315,39 @@ def test_criterion_12_deterministic_reports(capsys, fmt):
             f"4 repeated analyze runs ({fmt}) are byte-identical",
             identical,
         )
+
+
+def test_criterion_13_generalized_masks_detect_beyond_ppt_and_realignment():
+    # horodecki3x3(a) x I/d_C: PPT, and every cut realignment puts both of C's
+    # labels on one side, scaling its norm by ||I/d_C||_F = 1/sqrt(d_C) < 1;
+    # the mask {cA,rB} keeps C a matrix, scaled by ||I/d_C||_1 = 1
+    cases = []
+    ok = True
+    for d_c in (2, 3):
+        for a in (0.1, 0.5, 0.9):
+            rho = DensityMatrix(np.kron(horodecki_3x3(a).mat, np.eye(d_c) / d_c), (3, 3, d_c))
+            scan = gpt_scan(rho)
+            ppt_rows = ppt_criterion(scan)
+            realign_rows = realignment_criterion(scan)
+            flips = all_flip_sets(3)[0b0110][1]  # {cA,rB}
+            naive = naive_trace_norm(naive_generalized_transpose(rho.mat, rho.dims, flips))
+            witness = np.trace(naive_witness(rho.mat, rho.dims, flips) @ rho.mat).real
+            realign_max = max(res.trace_norm for res in realign_rows)
+            cases.append(f"d_C={d_c} a={a}: {{cA,rB}} norm 1{scan.max_norm - 1:+.1e}, "
+                         f"max realignment {realign_max:.3f}")
+            ok = (
+                ok
+                and scan.verdict is Verdict.ENTANGLED_CERTIFIED
+                and scan.argmax.mask == 0b0110
+                and scan.max_norm > 1.0 + 1e-9
+                and abs(naive - scan.max_norm) <= 1e-12
+                and witness < 0
+                and len(ppt_rows) == 3 and not any(res.violating for res in ppt_rows)
+                and len(realign_rows) == 3 and realign_max < 1.0
+            )
+    criterion(
+        13,
+        "horodecki3x3 x I/d_C: certified at {cA,rB}, checked by the naive transpose "
+        "and a witness, while no PPT or cut-realignment row violates; " + "; ".join(cases),
+        ok,
+    )

@@ -228,10 +228,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "dims, first_cell, field",
-        [([True, 2], [1.0, 0.0], "'dims'"), ([2], [True, False], "matrix[0][0]")],
+        [([True, 2], [1.0, 0.0], "'dims'"), ([2], [True, False], "matrix[0][0]"),
+         ([2], ["1.5", 0], "matrix[0][0]")],
     )
     def test_booleans_are_not_numbers(self, capsys, tmp_path, dims, first_cell, field):
-        # read as numbers, both files would be the valid state |0><0|
+        # read as numbers, the bool files would be the valid state |0><0|;
+        # np.array(..., dtype=float) reads true and "1.5" as numbers too
         path = tmp_path / "bools.json"
         matrix = [[first_cell, [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
         path.write_text(json.dumps({"dims": dims, "matrix": matrix}))
@@ -242,8 +244,9 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "content, message",
         [
-            # over the double range: complex() raises OverflowError
-            (b'{"dims":[1],"matrix":[[[1' + b"0" * 400 + b',0]]]}', "too large for a double"),
+            # over the double range: numpy raises OverflowError
+            (b'{"dims":[1],"matrix":[[[1' + b"0" * 400 + b',0]]]}',
+             "field 'matrix' holds a number too large for a double"),
             # over Python's 4300-digit limit on int(): json raises ValueError
             (b'{"dims":[1],"matrix":[[[1' + b"0" * 5000 + b',0]]]}', "unreadable JSON"),
             (b'{"name":"\xff","dims":[1],"matrix":[[[1,0]]]}', "can't decode"),
@@ -472,6 +475,16 @@ class TestGenerate:
         expected = np.array([[complex(re, im) for re, im in row] for row in rows])
         assert mat.dtype == expected.dtype and mat.shape == (6, 6)
         assert mat.tobytes() == expected.tobytes()
+
+    def test_ints_round_to_the_nearest_double_up_to_the_overflow_edge(self, tmp_path):
+        # ties round to even: 2^1024 - 2^970 is halfway to 2^1024, so it overflows
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"dims": [1], "matrix": [[[2**1024 - 2**971, -1]]]}))
+        mat, _, _ = load_matrix_file(str(path))
+        assert mat[0, 0] == complex(np.finfo(float).max, -1.0)
+        path.write_text(json.dumps({"dims": [1], "matrix": [[[2**1024 - 2**970, 0]]]}))
+        with pytest.raises(entscan.InvalidInputError, match="too large for a double$"):
+            load_matrix_file(str(path))
 
     def test_round_trip_preserves_entries_exactly(self, capsys, tmp_path):
         path = tmp_path / "sep.json"

@@ -27,6 +27,7 @@ from entscan import (
     separable_mixture,
     werner_state,
 )
+from entscan import criteria
 from entscan.cli import build_analyze_report
 from entscan.criteria import SubsetResult, _representative, subset_table
 from entscan.linalg import TRACE_TOL
@@ -243,10 +244,17 @@ class TestGptScan:
         rho = DensityMatrix(np.diag([0.5 + 0.9 * TRACE_TOL, 0.5, 0.0, 0.0]), (2, 2))
         assert gpt_scan(rho).verdict is Verdict.UNDETECTED
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        solves = []
+        solve = criteria.evaluate_subset
+        monkeypatch.setattr(criteria, "evaluate_subset",
+                            lambda rho, mask: solves.append(mask) or solve(rho, mask))
         rho = max_mixed((2,) * 7)
         with pytest.raises(InvalidInputError, match="scan limit"):
             gpt_scan(rho)
+        assert solves == []  # refused before the mask-0 solve
+        gpt_scan(max_mixed((2, 2)))
+        assert solves[0] == 0  # the counter sees the scan's solves
 
     def test_hermitian_cases_carry_min_eigenvalue(self):
         report = gpt_scan(bell_state("psi-"))

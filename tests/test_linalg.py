@@ -1,5 +1,7 @@
 """Tests for the dense matrix primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,16 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(4) / 4, (2, 3))
         with pytest.raises(InvalidInputError, match=r"must be positive, got \(0,\)"):
             DensityMatrix(np.eye(1), (0,))
+
+    @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4)])
+    def test_rejects_dims_that_are_not_integers(self, dims):
+        # int() would read the first two as (2, 2); True is a bool, not a dimension
+        with pytest.raises(InvalidInputError, match=re.escape(f"must be integers, got {dims!r}")):
+            DensityMatrix(np.eye(4) / 4, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.uint8(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
 
     def test_rejects_non_finite(self):
         mat = np.eye(2, dtype=complex) / 2
