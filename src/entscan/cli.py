@@ -371,7 +371,7 @@ def render_human_scan_family(report: dict) -> str:
 
 def cmd_scan_family(args) -> int:
     family, fixed, desc = parse_sweep(args.family)
-    lo, hi = float(args.min), float(args.max)
+    lo, hi = args.min, args.max
     if not lo < hi:
         raise InvalidInputError(f"need min < max, got [{lo}, {hi}]")
     if not isfinite(hi - lo):  # an infinite end or width would make the grid nan

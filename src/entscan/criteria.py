@@ -167,6 +167,9 @@ def subset_table(rho: DensityMatrix):
     rho = P - N, P and N PSD, tr N = t: a row of a separable P/(1 + t) is at
     most 1, and any transpose X of N has ||X||_1 <= sqrt(rank) ||X||_F <=
     sqrt(D) t, so a row above 1 + ``NORM_TOL`` + slack certifies P entangled.
+    The refusal keeps 2t <= ``NORM_TOL`` + TRACE_TOL < 2 ``NORM_TOL``, so even
+    a row above 1 + ``NORM_TOL`` + sqrt(D) t exceeds 1 + t + sqrt(D) t: the
+    rule is loose by the ``1 +`` term's t.
     """
     n = len(rho.dims)
     norm, low = evaluate_subset(rho, 0)

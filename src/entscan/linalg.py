@@ -120,9 +120,15 @@ class DensityMatrix:
         rows, cols = mat.shape
         if rows != cols:
             raise InvalidInputError(f"density matrix must be square, got shape {mat.shape}")
-        if not all(hasattr(d, "__index__") and not isinstance(d, bool) for d in self.dims):
-            raise InvalidInputError(f"subsystem dimensions must be integers, got {self.dims!r}")
-        dims = tuple(map(index, self.dims))  # numpy ints too; int() reads 2.5 and "2" as 2
+        try:
+            dims = tuple(self.dims)  # a list too
+        except TypeError:  # 4 or None: not a sequence, refused below
+            dims = (None,)
+        if not all(hasattr(d, "__index__") and not isinstance(d, bool) for d in dims):
+            raise InvalidInputError(
+                f"subsystem dimensions must be a sequence of integers, got {self.dims!r}"
+            )
+        dims = tuple(map(index, dims))  # numpy ints too; int() reads 2.5 and "2" as 2
         if not dims or any(d < 1 for d in dims):
             raise InvalidInputError(f"subsystem dimensions must be positive, got {dims}")
         limit = MAX_KRON_DIM.bit_length() - 1
@@ -163,4 +169,4 @@ class DensityMatrix:
 
 def density_matrix(mat, dims) -> DensityMatrix:
     """Build a :class:`DensityMatrix` from a matrix and its subsystem dimensions."""
-    return DensityMatrix(mat, tuple(dims))
+    return DensityMatrix(mat, dims)

@@ -38,7 +38,6 @@ def bell_state(which: str) -> DensityMatrix:
 
 def ghz_state(n: int = 3) -> DensityMatrix:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    n = int(n)
     if n < 2:
         raise InvalidInputError(f"GHZ needs at least 2 qubits, got {n}")
     ket = np.zeros(2**n, dtype=complex)
@@ -48,7 +47,6 @@ def ghz_state(n: int = 3) -> DensityMatrix:
 
 def w_state(n: int = 3) -> DensityMatrix:
     """Equal superposition of the n single-excitation basis states."""
-    n = int(n)
     if n < 2:
         raise InvalidInputError(f"W state needs at least 2 qubits, got {n}")
     ket = np.zeros(2**n, dtype=complex)
@@ -58,7 +56,6 @@ def w_state(n: int = 3) -> DensityMatrix:
 
 
 def max_mixed(dims) -> DensityMatrix:
-    dims = tuple(int(d) for d in dims)
     side = prod(dims)
     return DensityMatrix(np.eye(side, dtype=complex) / side, dims)
 
@@ -69,7 +66,6 @@ def werner_state(p: float) -> DensityMatrix:
     Entangled exactly for p > 1/3; the partial transpose has eigenvalues
     (1+p)/4 (three-fold) and (1-3p)/4.
     """
-    p = float(p)
     if not 0.0 <= p <= 1.0:
         raise InvalidInputError(f"Werner parameter must lie in [0, 1], got {p}")
     mat = p * bell_state("psi-").mat + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
@@ -82,8 +78,6 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
     ``fidelity`` is the overlap with the maximally entangled state;
     entangled exactly for fidelity > 1/d.
     """
-    d = int(d)
-    fidelity = float(fidelity)
     if d < 2:
         raise InvalidInputError(f"isotropic state needs local dimension >= 2, got {d}")
     if not 0.0 <= fidelity <= 1.0:
@@ -99,7 +93,6 @@ def isotropic_state(d: int, fidelity: float) -> DensityMatrix:
 def horodecki_3x3(a: float) -> DensityMatrix:
     """The 3 x 3 bound entangled family: positive under partial transposition
     for every a in [0, 1] yet entangled for 0 < a < 1."""
-    a = float(a)
     if not 0.0 <= a <= 1.0:
         raise InvalidInputError(f"parameter must lie in [0, 1], got {a}")
     c = np.sqrt(1.0 - a * a) / 2.0
@@ -124,7 +117,6 @@ def horodecki_3x3(a: float) -> DensityMatrix:
 def horodecki_2x4(b: float) -> DensityMatrix:
     """The 2 x 4 bound entangled family: positive under partial transposition
     for every b in [0, 1] yet entangled for 0 < b < 1."""
-    b = float(b)
     if not 0.0 <= b <= 1.0:
         raise InvalidInputError(f"parameter must lie in [0, 1], got {b}")
     c = np.sqrt(1.0 - b * b) / 2.0
@@ -160,8 +152,7 @@ def _random_density_mat(d: int, rank: int, rng: "np.random.Generator") -> np.nda
 
 def random_product_state(dims, seed: int = 0) -> DensityMatrix:
     """Tensor product of independent random full-rank single-subsystem states."""
-    dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     mat = np.ones((1, 1), dtype=complex)
     for d in dims:
         mat = np.kron(mat, _random_density_mat(d, d, rng))
@@ -174,11 +165,9 @@ def separable_mixture(dims, terms: int, seed: int = 0) -> DensityMatrix:
     Separable by construction, so every separability criterion must pass on
     the output; with ``terms=1`` this is a random pure product state.
     """
-    dims = tuple(int(d) for d in dims)
-    terms = int(terms)
     if terms < 1:
         raise InvalidInputError(f"mixture needs at least 1 term, got {terms}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     probs = rng.random(terms)
     probs /= probs.sum()
     side = prod(dims)
@@ -193,12 +182,11 @@ def separable_mixture(dims, terms: int, seed: int = 0) -> DensityMatrix:
 
 def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Random density matrix G G^dag / tr(G G^dag) with G a D x rank Gaussian."""
-    dims = tuple(int(d) for d in dims)
     side = prod(dims)
-    rank = side if rank is None else int(rank)
+    rank = side if rank is None else rank
     if not 1 <= rank <= side:
         raise InvalidInputError(f"rank must lie in [1, {side}], got {rank}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     return DensityMatrix(_random_density_mat(side, rank, rng), dims)
 
 

@@ -40,6 +40,7 @@ from reference import (
     naive_trace_norm,
     naive_witness,
     near_product,
+    product_minus,
     random_local_unitary,
     random_state,
 )
@@ -224,6 +225,27 @@ class TestGptScan:
         assert report.verdict is Verdict.UNDETECTED
         assert report.violations == () and report.measure_e == 0.0
         assert negativity(report, 0) == 0.0
+
+    def test_slack_is_one_plus_sqrt_d_times_t(self):
+        # the PSD part (1 + eps)|k><k|, k = cos(th)|00> + sin(th)|12>, is
+        # slightly entangled, which adds about 2 th to the near product's
+        # largest row, sqrt(D) t: by the naive oracles it lies between
+        # sqrt(D) t and (1 + sqrt(D)) t above 1 + NORM_TOL. A slack of
+        # sqrt(D) t alone would certify it
+        eps, theta = 4.5e-10, 6e-10
+        ket, psi = np.zeros(9), np.zeros(9)
+        ket[0], ket[5] = np.cos(theta), np.sin(theta)
+        psi[[4, 8]] = 1 / np.sqrt(2)
+        mat = product_minus(ket, psi, eps)
+        t = (naive_trace_norm(mat) - 1) / 2
+        excess = max(
+            naive_trace_norm(naive_generalized_transpose(mat, (3, 3), flips))
+            for _, flips in all_flip_sets(2)
+        ) - 1 - NORM_TOL
+        assert 3.25 * t < excess < 3.75 * t  # sqrt(D) = 3
+        report = gpt_scan(DensityMatrix(mat, (3, 3)))
+        assert report.verdict is Verdict.UNDETECTED
+        assert report.argmax.slack == pytest.approx(4 * t, rel=1e-6)
 
     @pytest.mark.parametrize("slack", [0.0, 3e-9])
     def test_a_norm_at_the_threshold_does_not_violate(self, slack):

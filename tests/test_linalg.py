@@ -264,11 +264,16 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match=r"must be positive, got \(0,\)"):
             DensityMatrix(np.eye(1), (0,))
 
-    @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4)])
+    @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4), 4, None, 2.0])
     def test_rejects_dims_that_are_not_integers(self, dims):
-        # int() would read the first two as (2, 2); True is a bool, not a dimension
-        with pytest.raises(InvalidInputError, match=re.escape(f"must be integers, got {dims!r}")):
+        # int() would read the first two as (2, 2); True is a bool, not a
+        # dimension; the last three are not a sequence
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"a sequence of integers, got {dims!r}")):
             DensityMatrix(np.eye(4) / 4, dims)
+
+    def test_accepts_list_dims(self):
+        assert DensityMatrix(np.eye(4) / 4, [2, 2]).dims == (2, 2)
 
     def test_accepts_numpy_integer_dims(self):
         rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.uint8(2)))

@@ -184,6 +184,25 @@ class TestRandomGenerators:
         with pytest.raises(InvalidInputError, match="rank"):
             random_density((2, 2), rank=5, seed=0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: random_density((2.5, 2)),
+         lambda: max_mixed((2.9, 2)),
+         lambda: ghz_state(3.7),
+         lambda: w_state(3.7),
+         lambda: separable_mixture((2, 2), 2.5),
+         lambda: random_product_state(("2", 2)),
+         lambda: random_density((2, 2), 2, 1.5),
+         lambda: werner_state("0.5")],
+        ids=["randomdm-dims", "maxmixed-dims", "ghz-qubits", "w-qubits", "sepmix-terms",
+             "productrandom-dims", "randomdm-seed", "werner-string"],
+    )
+    def test_arguments_are_used_as_given(self, call):
+        # int() and float() would read 2.5 as 2, 3.7 as 3 and "0.5" as 0.5,
+        # building a different state from the one asked for
+        with pytest.raises((TypeError, InvalidInputError)):
+            call()
+
     # the local-unitary generator of tests/reference.py, which the
     # invariance tests draw from
     def test_local_unitary_is_unitary(self):
