@@ -39,7 +39,7 @@ from .criteria import ppt_criterion, realignment_criterion
 from .criteria import evaluate_subset  # noqa: F401
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
-    HERM_TOL_SCALE,
+    HERM_TOL,
     TRACE_TOL,
     DensityMatrix,
     check_dimension,
@@ -87,9 +87,8 @@ def load_matrix_file(path: str, scan: bool = False):
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
     dims = data.get("dims")
-    if not isinstance(dims, list) or not dims or not all(
-        type(d) is int and d >= 1 for d in dims  # JSON true/false load as bool
-    ):
+    # type, not isinstance: JSON true/false load as bool
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
     check_dimension(dims, f"{path}: field 'dims'")
     if scan:
@@ -213,7 +212,7 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
             "hermiticity_residual": rho.hermiticity_residual(),
         },
         "tolerances": {
-            "hermiticity_tol_scale": HERM_TOL_SCALE,
+            "hermiticity_tol": HERM_TOL,
             "trace_tol": TRACE_TOL,
             "norm_tol": NORM_TOL,
         },

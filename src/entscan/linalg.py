@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 
-# Tolerances. Double-precision SVD/eig noise scales with the matrix norm,
-# hence the Frobenius scaling of the hermiticity check.
-HERM_TOL_SCALE = 1e-10
+# Tolerances, absolute: a state has ||rho||_F <= tr rho = 1, so a scale by
+# the matrix norm would only loosen them for input that is not a state.
+HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 
-# The one dimension budget: parsed state specs and loaded matrix files all
-# stay at D <= MAX_KRON_DIM; everything here is desk scale.
+# The one dimension budget: state specs, matrix files and every
+# DensityMatrix stay at D <= MAX_KRON_DIM; everything here is desk scale.
 MAX_KRON_DIM = 4096
 
 # singular_values solves a matrix at least twice as tall as wide, with at
@@ -56,22 +56,16 @@ def matrix_fingerprint(a: np.ndarray) -> str:
 
 
 def check_dimension(dims, what: str) -> None:
-    """Raise unless the product of ``dims`` is at most ``MAX_KRON_DIM``; stops
-    multiplying once over, so huge entries cost nothing. Entries below 1 are
-    refused by the callers: ``states._parse_dims``, ``cli.load_matrix_file``
-    and, for qubit counts and local dimensions, the generators."""
+    """The one rule on subsystem dimensions: raise unless every entry is at
+    least 1 and their product at most ``MAX_KRON_DIM``. Stops at the first
+    failure, so huge entries cost nothing."""
     side = 1
     for d in dims:
-        side *= max(d, 0)
+        if d < 1:
+            raise InvalidInputError(f"{what}: every dimension must be at least 1")
+        side *= d
         if side > MAX_KRON_DIM:
             raise InvalidInputError(f"{what}: D exceeds the dimension limit {MAX_KRON_DIM}")
-
-
-def check_count(count: int, what: str) -> None:
-    """Raise unless ``count`` is at most ``MAX_KRON_DIM``: counts of work
-    items (mixture terms) share the dimension budget."""
-    if count > MAX_KRON_DIM:
-        raise InvalidInputError(f"{what} {count} exceeds the limit {MAX_KRON_DIM}")
 
 
 def singular_values(a) -> np.ndarray:
@@ -99,10 +93,11 @@ def trace_norm(a) -> float:
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
-    Construction refuses more than 12 subsystems, the most of dimension >= 2
-    within ``MAX_KRON_DIM`` (more unit ones would reshape past numpy's axis
-    limit). It checks hermiticity (within ``HERM_TOL_SCALE * max(1, fro)``)
-    and unit trace (within ``TRACE_TOL``) of the input, then stores its
+    Construction holds ``dims`` to :func:`check_dimension` and refuses more
+    than 12 subsystems, the most of dimension >= 2 within ``MAX_KRON_DIM``
+    (more unit ones would reshape past numpy's axis limit). It checks
+    hermiticity (max |m - m^dag| within ``HERM_TOL``) and unit trace (within
+    ``TRACE_TOL``) of the input, both absolute, then stores its
     Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
     symmetries are exact on it. :meth:`hermiticity_residual` still reports
     the input's residual. Positivity is *not* checked here, since states read
@@ -129,8 +124,9 @@ class DensityMatrix:
                 f"subsystem dimensions must be a sequence of integers, got {self.dims!r}"
             )
         dims = tuple(map(index, dims))  # numpy ints too; int() reads 2.5 and "2" as 2
-        if not dims or any(d < 1 for d in dims):
-            raise InvalidInputError(f"subsystem dimensions must be positive, got {dims}")
+        if not dims:
+            raise InvalidInputError("subsystem dimensions must not be empty")
+        check_dimension(dims, f"subsystem dimensions {dims}")
         limit = MAX_KRON_DIM.bit_length() - 1
         if len(dims) > limit:
             raise InvalidInputError(f"{len(dims)} subsystems exceed the limit of {limit}")
@@ -138,11 +134,10 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"dims {dims} multiply to {prod(dims)}, but the matrix side is {rows}"
             )
-        herm_tol = HERM_TOL_SCALE * max(1.0, float(np.linalg.norm(mat)))
         residual = float(np.abs(mat - mat.conj().T).max())
-        if residual > herm_tol:
+        if residual > HERM_TOL:
             raise InvalidInputError(
-                f"matrix is not Hermitian: max |m - m^dag| = {residual:.3e} > {herm_tol:.3e}"
+                f"matrix is not Hermitian: max |m - m^dag| = {residual:.3e} > {HERM_TOL:.3e}"
             )
         tr = complex(mat.trace())
         if abs(tr - 1.0) > TRACE_TOL:

@@ -12,7 +12,7 @@ from math import prod
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DensityMatrix, check_count, check_dimension
+from .linalg import MAX_KRON_DIM, DensityMatrix, check_dimension
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -225,8 +225,6 @@ def _parse_dims(token: str, what: str) -> tuple[int, ...]:
     if not _DIMS_RE.match(token):
         raise InvalidInputError(f"bad {what} {token!r}: expected e.g. 2x2 or 2x3x2")
     dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
-    if 0 in dims:
-        raise InvalidInputError(f"bad {what} {token!r}: every dimension must be at least 1")
     check_dimension(dims, f"{what} {token!r}")
     return dims
 
@@ -245,7 +243,8 @@ def _parse_local_dim(token: str, what: str) -> int:
 
 def _parse_count(token: str, what: str) -> int:
     n = _parse_int(token, what)
-    check_count(n, what)
+    if n > MAX_KRON_DIM:  # mixture terms share the dimension budget
+        raise InvalidInputError(f"{what} {n} exceeds the limit {MAX_KRON_DIM}")
     return n
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import entscan
-from entscan import cli, generate, states
+from entscan import DensityMatrix, InvalidInputError, cli, generate, states
 from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
 from reference import NEAR_PRODUCT_CASES, near_product
@@ -56,7 +56,7 @@ class TestAnalyze:
     def test_report_lists_only_the_tolerances_that_act(self, capsys):
         _, report, _ = run_json(capsys, "analyze", "bell:psi-")
         assert set(report["tolerances"]) == {
-            "hermiticity_tol_scale", "trace_tol", "norm_tol",
+            "hermiticity_tol", "trace_tol", "norm_tol",
         }
         _, out, _ = run(capsys, "analyze", "bell:psi-")
         assert "tolerances: norm_tol 1e-09  trace_tol 1e-10" in out.splitlines()
@@ -147,6 +147,37 @@ class TestAnalyze:
         assert herm_report["input"]["hermiticity_residual"] == 0.0
         assert noisy_report["scan"] == herm_report["scan"]
         assert noisy_report["verdict"] == herm_report["verdict"]
+
+    @staticmethod
+    def _singlet_file(tmp_path, corner, opposite):
+        # the singlet with m[0][3] = corner and m[3][0] = opposite
+        cells = [[[v.real, v.imag] for v in row] for row in generate("bell:psi-").mat]
+        cells[0][3], cells[3][0] = [corner, 0.0], [opposite, 0.0]
+        path = tmp_path / "singlet.json"
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": cells}))
+        return str(path), np.array(cells).view(complex)[..., 0]
+
+    def test_an_overflowing_anti_hermitian_pair_is_refused(self, capsys, tmp_path):
+        # the matrix's Frobenius norm overflows to inf: a tolerance scaled
+        # by it admitted this file, and analyze certified it
+        path, mat = self._singlet_file(tmp_path, 1e200, -1e200)
+        code, out, err = run(capsys, "analyze", path)
+        assert (code, out) == (1, "")
+        assert "not Hermitian: max |m - m^dag| = 2.000e+200 > 1.000e-10" in err
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            DensityMatrix(mat, (2, 2))
+
+    def test_an_overflowing_hermitian_pair_exits_1_without_a_warning(self, tmp_path):
+        # in a subprocess, where a warning reaches stderr instead of pytest
+        path, _ = self._singlet_file(tmp_path, 1e160, 1e160)
+        proc = subprocess.run(
+            [sys.executable, "-m", "entscan.cli", "analyze", path], env=_subprocess_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("entscan: error: input is not positive semidefinite")
+        assert proc.stderr.count("\n") == 1
 
     def test_oversized_spec_exits_1_before_allocating(self, capsys):
         code, out, err = run(capsys, "analyze", "ghz:40")
@@ -779,8 +810,28 @@ class TestArgumentHandling:
         code, out, err = run(capsys, "analyze", spec)
         assert code == 1
         assert out == ""
-        assert "bad dims '0x10000000000': every dimension must be at least 1" in err
+        assert "dims '0x10000000000': every dimension must be at least 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "source, what",
+        [("maxmixed:0x2", "dims '0x2'"), ({"dims": [0, 2], "matrix": []}, "field 'dims'"),
+         ((0,), "subsystem dimensions (0,)")],
+        ids=["spec", "file", "library"],
+    )
+    def test_one_dims_wording_at_every_entry_point(self, capsys, tmp_path, source, what):
+        if isinstance(source, tuple):
+            with pytest.raises(InvalidInputError) as info:
+                DensityMatrix(np.eye(1), source)
+            err = str(info.value)
+        else:
+            if isinstance(source, dict):
+                path = tmp_path / "zero.json"
+                path.write_text(json.dumps(source))
+                source = str(path)
+            code, out, err = run(capsys, "analyze", source)
+            assert (code, out) == (1, "")
+        assert f"{what}: every dimension must be at least 1" in err
 
     def test_norms_has_no_scan_limit(self, capsys):
         code, out, _ = run(capsys, "norms", "ghz:7", "")

@@ -1,5 +1,6 @@
 """Tests for the dense matrix primitives."""
 
+import math
 import re
 
 import numpy as np
@@ -241,14 +242,23 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="Hermitian"):
             DensityMatrix(mat, (2, 2))
 
-    def test_rejects_a_1e_9_residual_at_unit_frobenius_norm(self):
-        # the tolerance is HERM_TOL_SCALE * max(1, fro) = 1e-10 here
-        mat = np.eye(2, dtype=complex) / 2
-        mat[0, 1] = 1e-9
-        assert np.abs(mat - mat.conj().T).max() == 1e-9
-        assert np.linalg.norm(mat) <= 1
+    @pytest.mark.parametrize(
+        "diag", [(0.5, 0.5), (1.5, -0.5)], ids=["fro-below-1", "fro-above-1"]
+    )
+    def test_hermiticity_bound_is_absolute(self, diag):
+        # HERM_TOL = 1e-10 bounds max |m - m^dag| whatever the matrix norm
+        def with_residual(residual):
+            mat = np.diag(diag).astype(complex)
+            mat[0, 1] = residual
+            assert np.abs(mat - mat.conj().T).max() == residual
+            return mat
+
+        assert DensityMatrix(with_residual(1e-10), (2,)).hermiticity_residual() == 1e-10
+        above = math.nextafter(1e-10, 1.0)
+        with pytest.raises(InvalidInputError, match=r"Hermitian: .* > 1\.000e-10$"):
+            DensityMatrix(with_residual(above), (2,))
         with pytest.raises(InvalidInputError, match=r"Hermitian: .* = 1\.000e-09 > 1\.000e-10$"):
-            DensityMatrix(mat, (2,))
+            DensityMatrix(with_residual(1e-9), (2,))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidInputError, match="trace"):
@@ -261,8 +271,13 @@ class TestDensityMatrix:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(InvalidInputError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
-        with pytest.raises(InvalidInputError, match=r"must be positive, got \(0,\)"):
-            DensityMatrix(np.eye(1), (0,))
+        with pytest.raises(InvalidInputError, match="dimensions must not be empty"):
+            DensityMatrix(np.eye(1), ())
+
+    def test_dimension_budget_holds_for_a_density_matrix(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"dimensions \(4097,\): D exceeds the dimension limit 4096"):
+            DensityMatrix(np.eye(4097) / 4097, (4097,))
 
     @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4), 4, None, 2.0])
     def test_rejects_dims_that_are_not_integers(self, dims):
