@@ -86,11 +86,7 @@ def load_matrix_file(path: str, scan: bool = False):
         raise InvalidInputError(f"{path}: unreadable JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InvalidInputError(f"{path}: top level must be a JSON object")
-    dims = data.get("dims")
-    # type, not isinstance: JSON true/false load as bool
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise InvalidInputError(f"{path}: field 'dims' must be a list of positive integers")
-    check_dimension(dims, f"{path}: field 'dims'")
+    dims = check_dimension(data.get("dims"), f"{path}: field 'dims'")
     if scan:
         check_scan_limit(len(dims))
     side = prod(dims)
@@ -119,7 +115,7 @@ def load_matrix_file(path: str, scan: bool = False):
     for field, value in (("name", name), ("description", description)):
         if value is not None and not isinstance(value, str):
             raise InvalidInputError(f"{path}: field '{field}' must be a string")
-    return mat, tuple(dims), name
+    return mat, dims, name
 
 
 def _write_json(fh, obj, **encoder_options) -> None:

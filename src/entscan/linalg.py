@@ -25,6 +25,9 @@ TRACE_TOL = 1e-10
 # The one dimension budget: state specs, matrix files and every
 # DensityMatrix stay at D <= MAX_KRON_DIM; everything here is desk scale.
 MAX_KRON_DIM = 4096
+# The most subsystems of dimension >= 2 in the budget; more unit ones would
+# fit, but a transpose takes two array axes each, and numpy caps axes.
+MAX_SUBSYSTEMS = MAX_KRON_DIM.bit_length() - 1
 
 # singular_values solves a matrix at least twice as tall as wide, with at
 # least this many entries, through its R factor. Measured with one BLAS
@@ -55,17 +58,31 @@ def matrix_fingerprint(a: np.ndarray) -> str:
     return f"{arr.shape[0]}x{arr.shape[1]} matrix, fro={np.linalg.norm(arr):.6e}, sha256:{digest}"
 
 
-def check_dimension(dims, what: str) -> None:
-    """The one rule on subsystem dimensions: raise unless every entry is at
-    least 1 and their product at most ``MAX_KRON_DIM``. Stops at the first
-    failure, so huge entries cost nothing."""
-    side = 1
-    for d in dims:
+def check_dimension(dims, what: str) -> tuple[int, ...]:
+    """The one rule on subsystem dimensions: a non-empty sequence of at most
+    ``MAX_SUBSYSTEMS`` integers (numpy ones too, no bool), each at least 1,
+    with product at most ``MAX_KRON_DIM``. Returns them as a tuple of ints.
+    Stops at the first failure, which it names without echoing ``dims``."""
+    try:
+        entries = iter(dims)
+    except TypeError:
+        raise InvalidInputError(f"{what}: must be a sequence of integers, got "
+                                f"{type(dims).__name__}") from None
+    checked, side = [], 1
+    for i, d in enumerate(entries):
+        if isinstance(d, bool) or not hasattr(d, "__index__"):  # int() reads 2.5 as 2
+            raise InvalidInputError(f"{what}: entry {i} must be an integer, got {type(d).__name__}")
+        checked.append(d := index(d))
         if d < 1:
             raise InvalidInputError(f"{what}: every dimension must be at least 1")
         side *= d
         if side > MAX_KRON_DIM:
             raise InvalidInputError(f"{what}: D exceeds the dimension limit {MAX_KRON_DIM}")
+        if i == MAX_SUBSYSTEMS:
+            raise InvalidInputError(f"{what}: more than {MAX_SUBSYSTEMS} subsystems")
+    if not checked:
+        raise InvalidInputError(f"{what}: must not be empty")
+    return tuple(checked)
 
 
 def singular_values(a) -> np.ndarray:
@@ -93,15 +110,15 @@ def trace_norm(a) -> float:
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
-    Construction holds ``dims`` to :func:`check_dimension` and refuses more
-    than 12 subsystems, the most of dimension >= 2 within ``MAX_KRON_DIM``
-    (more unit ones would reshape past numpy's axis limit). It checks
-    hermiticity (max |m - m^dag| within ``HERM_TOL``) and unit trace (within
-    ``TRACE_TOL``) of the input, both absolute, then stores its
+    Construction first holds ``dims`` to :func:`check_dimension`, before it
+    converts the matrix, so a refusal on dims alone allocates nothing, then
+    matches the matrix side to their product. It checks hermiticity (max
+    |m - m^dag| within ``HERM_TOL``) and unit trace (the complex trace within
+    ``TRACE_TOL`` of 1) of the input, both absolute, then stores its
     Hermitian part (m + m^dag) / 2, which is Hermitian bitwise: the scan's
     symmetries are exact on it. :meth:`hermiticity_residual` still reports
-    the input's residual. Positivity is *not* checked here, since states read
-    from files often carry rounding-scale negative eigenvalues: every
+    the input's residual. Positivity is *not* checked here, since states
+    read from files often carry rounding-scale negative eigenvalues: every
     criterion judges it from the mask-0 row of ``criteria.subset_table``,
     which refuses input whose trace norm exceeds 1 + ``NORM_TOL``.
     """
@@ -111,25 +128,11 @@ class DensityMatrix:
     _residual: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
+        dims = check_dimension(self.dims, "subsystem dimensions")
         mat = as_matrix(self.mat, "density matrix")
         rows, cols = mat.shape
         if rows != cols:
             raise InvalidInputError(f"density matrix must be square, got shape {mat.shape}")
-        try:
-            dims = tuple(self.dims)  # a list too
-        except TypeError:  # 4 or None: not a sequence, refused below
-            dims = (None,)
-        if not all(hasattr(d, "__index__") and not isinstance(d, bool) for d in dims):
-            raise InvalidInputError(
-                f"subsystem dimensions must be a sequence of integers, got {self.dims!r}"
-            )
-        dims = tuple(map(index, dims))  # numpy ints too; int() reads 2.5 and "2" as 2
-        if not dims:
-            raise InvalidInputError("subsystem dimensions must not be empty")
-        check_dimension(dims, f"subsystem dimensions {dims}")
-        limit = MAX_KRON_DIM.bit_length() - 1
-        if len(dims) > limit:
-            raise InvalidInputError(f"{len(dims)} subsystems exceed the limit of {limit}")
         if prod(dims) != rows:
             raise InvalidInputError(
                 f"dims {dims} multiply to {prod(dims)}, but the matrix side is {rows}"

@@ -224,14 +224,14 @@ def _parse_lower(token: str, what: str) -> str:
 def _parse_dims(token: str, what: str) -> tuple[int, ...]:
     if not _DIMS_RE.match(token):
         raise InvalidInputError(f"bad {what} {token!r}: expected e.g. 2x2 or 2x3x2")
-    dims = tuple(_parse_int(d, "dimension") for d in token.split("x"))
-    check_dimension(dims, f"{what} {token!r}")
-    return dims
+    return check_dimension([_parse_int(d, "dimension") for d in token.split("x")],
+                           f"{what} {token!r}")
 
 
 def _parse_qubits(token: str, what: str) -> int:
     n = _parse_int(token, what)
-    check_dimension((2 for _ in range(n)), f"{n} qubits")  # never forms 2^n
+    if n >= 1:  # below that, the generator's own message, not "must not be empty"
+        check_dimension((2 for _ in range(n)), f"{n} qubits")  # never forms 2^n
     return n
 
 

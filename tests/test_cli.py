@@ -105,10 +105,12 @@ class TestAnalyze:
         return str(path)
 
     def test_trace_norm_above_the_slack_is_not_a_state(self, capsys, tmp_path):
-        code, out, err = run(capsys, "analyze", self._diag_file(tmp_path, 1e-9))
-        assert code == 1
-        assert out == ""
-        assert "not positive semidefinite" in err and "not a state" in err
+        # trace norms 1 + 2e-9 and 1 + 1.5e-9, both above 1 + NORM_TOL
+        for negative in (1e-9, 0.75e-9):
+            code, out, err = run(capsys, "analyze", self._diag_file(tmp_path, negative))
+            assert code == 1
+            assert out == ""
+            assert "not positive semidefinite" in err and "not a state" in err
 
     def test_trace_norm_within_the_slack_is_undetected(self, capsys, tmp_path):
         code, out, _ = run(capsys, "analyze", self._diag_file(tmp_path, 4e-10))
@@ -260,7 +262,8 @@ class TestAnalyze:
     @pytest.mark.parametrize(
         "dims, first_cell, field",
         [([True, 2], [1.0, 0.0], "'dims'"), ([2], [True, False], "matrix[0][0]"),
-         ([2], ["1.5", 0], "matrix[0][0]")],
+         ([2], ["1.5", 0], "matrix[0][0]"), ([2], [True, 0.0], "matrix[0][0]"),
+         ([2], [0.0, True], "matrix[0][0]")],
     )
     def test_booleans_are_not_numbers(self, capsys, tmp_path, dims, first_cell, field):
         # read as numbers, the bool files would be the valid state |0><0|;
@@ -814,24 +817,45 @@ class TestArgumentHandling:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "source, what",
-        [("maxmixed:0x2", "dims '0x2'"), ({"dims": [0, 2], "matrix": []}, "field 'dims'"),
-         ((0,), "subsystem dimensions (0,)")],
-        ids=["spec", "file", "library"],
+        "entry, dims, message",
+        [("spec", "0x2", "every dimension must be at least 1"),
+         ("file", [0, 2], "every dimension must be at least 1"),
+         ("library", (0,), "every dimension must be at least 1"),
+         ("file", [], "must not be empty"),
+         ("library", (), "must not be empty"),
+         ("file", [True, 2], "entry 0 must be an integer, got bool"),
+         ("library", (True, 2), "entry 0 must be an integer, got bool"),
+         ("file", [2, 2.5], "entry 1 must be an integer, got float"),
+         ("library", (2, 2.5), "entry 1 must be an integer, got float"),
+         ("file", 4, "must be a sequence of integers, got int"),
+         ("library", 4, "must be a sequence of integers, got int"),
+         ("file", "22", "entry 0 must be an integer, got str"),
+         ("library", "22", "entry 0 must be an integer, got str"),
+         ("spec", "x".join("1" * 13), "more than 12 subsystems"),
+         ("file", [1] * 13, "more than 12 subsystems"),
+         ("library", (1,) * 13, "more than 12 subsystems")],
+        ids=["spec", "file", "library", "empty-file", "empty-library", "true-file",
+             "true-library", "2.5-file", "2.5-library", "4-file", "4-library", "str-file",
+             "str-library", "13-ones-spec", "13-ones-file", "13-ones-library"],
     )
-    def test_one_dims_wording_at_every_entry_point(self, capsys, tmp_path, source, what):
-        if isinstance(source, tuple):
+    def test_one_dims_wording_at_every_entry_point(self, capsys, tmp_path, entry, dims, message):
+        # a spec's dims are digits by syntax, so only a 0 or a count can fail
+        # there; the matrix comes after the dims, so any matrix will do
+        if entry == "library":
             with pytest.raises(InvalidInputError) as info:
-                DensityMatrix(np.eye(1), source)
-            err = str(info.value)
+                DensityMatrix(np.eye(1), dims)
+            assert str(info.value) == f"subsystem dimensions: {message}"
+            return
+        if entry == "spec":
+            source, what = f"maxmixed:{dims}", f"dims '{dims}'"
         else:
-            if isinstance(source, dict):
-                path = tmp_path / "zero.json"
-                path.write_text(json.dumps(source))
-                source = str(path)
-            code, out, err = run(capsys, "analyze", source)
-            assert (code, out) == (1, "")
-        assert f"{what}: every dimension must be at least 1" in err
+            source = str(tmp_path / "dims.json")
+            with open(source, "w", encoding="utf-8") as fh:
+                json.dump({"dims": dims, "matrix": []}, fh)
+            what = f"{source}: field 'dims'"
+        code, out, err = run(capsys, "analyze", source)
+        assert (code, out) == (1, "")
+        assert f"{what}: {message}" in err and "Traceback" not in err
 
     def test_norms_has_no_scan_limit(self, capsys):
         code, out, _ = run(capsys, "norms", "ghz:7", "")
@@ -842,14 +866,16 @@ class TestArgumentHandling:
     def test_more_than_12_subsystems_exit_1(self, capsys, tmp_path, source):
         # unit subsystems pass the dimension budget, but a transpose of 40
         # of them would reshape to 80 axes, beyond numpy's limit
-        text = "maxmixed:" + "x".join(["1"] * 40)
+        ones = "x".join(["1"] * 40)
+        text, what = f"maxmixed:{ones}", f"dims '{ones}'"
         if source == "file":
             text = str(tmp_path / "ones.json")
             with open(text, "w", encoding="utf-8") as fh:
                 json.dump({"dims": [1] * 40, "matrix": [[[1.0, 0.0]]]}, fh)
+            what = f"{text}: field 'dims'"
         code, out, err = run(capsys, "norms", text, "")
         assert (code, out) == (1, "")
-        assert err == "entscan: error: 40 subsystems exceed the limit of 12\n"
+        assert f"{what}: more than 12 subsystems" in err
         code, out, _ = run(capsys, "norms", "maxmixed:" + "x".join(["1"] * 12), "cA")
         assert code == 0
         assert out == "labels {cA}  shape 1x1  trace norm 1.0\n"

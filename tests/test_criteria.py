@@ -259,6 +259,20 @@ class TestGptScan:
         assert not row(threshold).violating
         assert row(math.nextafter(threshold, 2.0)).violating
 
+    @pytest.mark.parametrize(
+        "spec, above", [("randomdm:2x3,6,2", False), ("randomdm:2x3,6,9", True)]
+    )
+    def test_a_psd_input_has_no_slack(self, spec, above):
+        # on a PSD input the mask-0 norm differs from the trace by rounding
+        # noise of either sign; read as a negative part, noise below the
+        # trace would lower every row's threshold under 1 + NORM_TOL
+        rho = generate(spec)
+        report = gpt_scan(rho)
+        norm, trace = report.results[0].trace_norm, rho.trace().real
+        assert report.results[0].min_eigenvalue > 0
+        assert norm != trace and (norm > trace) == above
+        assert all(row.slack == 0.0 for row in report.results)
+
     def test_no_state_trips_the_mask_0_refusal(self):
         # a state's own trace norm is its trace, which DensityMatrix holds
         # within TRACE_TOL of 1, below the violation slack

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,6 +265,15 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError, match="trace"):
             DensityMatrix(np.eye(4) / 5, (2, 2))
 
+    def test_trace_is_complex_and_must_lie_within_trace_tol_of_1(self):
+        # residual max |m - m^dag| = 8e-11 passes HERM_TOL, but the imaginary
+        # trace 1.6e-10 exceeds TRACE_TOL: "unit trace" is tr m = 1, not Re
+        mat = np.diag([0.25 + 4e-11j] * 4)
+        assert np.abs(mat - mat.conj().T).max() <= linalg.HERM_TOL
+        with pytest.raises(InvalidInputError,
+                           match=r"^trace must be 1 within 1e-10, got 1\+1\.6e-10j$"):
+            DensityMatrix(mat, (2, 2))
+
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError, match="must be square"):
             DensityMatrix(np.ones((2, 3)) / 2, (2,))
@@ -271,20 +281,38 @@ class TestDensityMatrix:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(InvalidInputError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
-        with pytest.raises(InvalidInputError, match="dimensions must not be empty"):
+        with pytest.raises(InvalidInputError, match="^subsystem dimensions: must not be empty$"):
             DensityMatrix(np.eye(1), ())
 
     def test_dimension_budget_holds_for_a_density_matrix(self):
         with pytest.raises(InvalidInputError,
-                           match=r"dimensions \(4097,\): D exceeds the dimension limit 4096"):
+                           match="^subsystem dimensions: D exceeds the dimension limit 4096$"):
             DensityMatrix(np.eye(4097) / 4097, (4097,))
+
+    def test_a_dims_refusal_allocates_nothing(self):
+        # the dims are checked before the matrix is converted: a complex copy
+        # of this one would take 16 MiB
+        mat = np.eye(1025) / 1025
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="D exceeds the dimension limit"):
+                DensityMatrix(mat, (1025, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4), 4, None, 2.0])
     def test_rejects_dims_that_are_not_integers(self, dims):
         # int() would read the first two as (2, 2); True is a bool, not a
-        # dimension; the last three are not a sequence
+        # dimension; the last three are not a sequence. The message names the
+        # type of the first bad entry, or of a value that is not a sequence
+        if isinstance(dims, tuple):
+            message = f"entry 0 must be an integer, got {type(dims[0]).__name__}"
+        else:
+            message = f"must be a sequence of integers, got {type(dims).__name__}"
         with pytest.raises(InvalidInputError,
-                           match=re.escape(f"a sequence of integers, got {dims!r}")):
+                           match=f"^subsystem dimensions: {re.escape(message)}$"):
             DensityMatrix(np.eye(4) / 4, dims)
 
     def test_accepts_list_dims(self):
@@ -302,7 +330,8 @@ class TestDensityMatrix:
 
     def test_more_than_12_subsystems_refused(self):
         # a transpose reshapes to two axes per subsystem, and numpy caps axes
-        with pytest.raises(InvalidInputError, match="13 subsystems exceed the limit of 12"):
+        with pytest.raises(InvalidInputError,
+                           match="^subsystem dimensions: more than 12 subsystems$"):
             DensityMatrix(np.eye(1), (1,) * 13)
         rho = density_matrix(np.eye(1), (1,) * 12)
         assert subset_table(rho)(3).trace_norm == 1.0
