@@ -70,9 +70,11 @@ def check_dimension(dims, what: str) -> tuple[int, ...]:
                                 f"{type(dims).__name__}") from None
     checked, side = [], 1
     for i, d in enumerate(entries):
-        if isinstance(d, bool) or not hasattr(d, "__index__"):  # int() reads 2.5 as 2
-            raise InvalidInputError(f"{what}: entry {i} must be an integer, got {type(d).__name__}")
-        checked.append(d := index(d))
+        try:  # numpy ints too, no bool: int() reads 2.5 as 2, index() True as 1
+            checked.append(d := index(None if isinstance(d, bool) else d))
+        except TypeError:  # also a numpy array, or numpy's bool
+            raise InvalidInputError(
+                f"{what}: entry {i} must be an integer, got {type(d).__name__}") from None
         if d < 1:
             raise InvalidInputError(f"{what}: every dimension must be at least 1")
         side *= d
@@ -144,9 +146,7 @@ class DensityMatrix:
             )
         tr = complex(mat.trace())
         if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidInputError(
-                f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}"
-            )
+            raise InvalidInputError(f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}")
         herm = np.ascontiguousarray((mat + mat.conj().T) / 2)
         herm.setflags(write=False)  # read-only, so values can be shared freely
         object.__setattr__(self, "mat", herm)

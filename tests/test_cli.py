@@ -867,15 +867,17 @@ class TestArgumentHandling:
         # unit subsystems pass the dimension budget, but a transpose of 40
         # of them would reshape to 80 axes, beyond numpy's limit
         ones = "x".join(["1"] * 40)
-        text, what = f"maxmixed:{ones}", f"dims '{ones}'"
+        text = f"maxmixed:{ones}"
+        message = (f"input '{text}' is neither an existing file nor a state spec "
+                   f"(dims '{ones}': more than 12 subsystems)")
         if source == "file":
             text = str(tmp_path / "ones.json")
             with open(text, "w", encoding="utf-8") as fh:
                 json.dump({"dims": [1] * 40, "matrix": [[[1.0, 0.0]]]}, fh)
-            what = f"{text}: field 'dims'"
+            message = f"{text}: field 'dims': more than 12 subsystems"
         code, out, err = run(capsys, "norms", text, "")
         assert (code, out) == (1, "")
-        assert f"{what}: more than 12 subsystems" in err
+        assert err == f"entscan: error: {message}\n"
         code, out, _ = run(capsys, "norms", "maxmixed:" + "x".join(["1"] * 12), "cA")
         assert code == 0
         assert out == "labels {cA}  shape 1x1  trace norm 1.0\n"

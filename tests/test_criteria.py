@@ -260,17 +260,25 @@ class TestGptScan:
         assert row(math.nextafter(threshold, 2.0)).violating
 
     @pytest.mark.parametrize(
-        "spec, above", [("randomdm:2x3,6,2", False), ("randomdm:2x3,6,9", True)]
+        "spec, toward", [("randomdm:2x3,6,2", -math.inf), ("randomdm:2x3,6,9", math.inf)]
     )
-    def test_a_psd_input_has_no_slack(self, spec, above):
+    def test_a_psd_input_has_no_slack(self, monkeypatch, spec, toward):
         # on a PSD input the mask-0 norm differs from the trace by rounding
         # noise of either sign; read as a negative part, noise below the
-        # trace would lower every row's threshold under 1 + NORM_TOL
+        # trace would lower every row's threshold under 1 + NORM_TOL. The
+        # sign depends on the BLAS build, so the noise is set here to one
+        # ulp below, resp. above, the trace
         rho = generate(spec)
+        trace, solve = rho.trace().real, criteria.evaluate_subset
+
+        def noisy(rho, mask):
+            norm, low = solve(rho, mask)
+            return (math.nextafter(trace, toward) if mask == 0 else norm), low
+
+        monkeypatch.setattr(criteria, "evaluate_subset", noisy)
         report = gpt_scan(rho)
-        norm, trace = report.results[0].trace_norm, rho.trace().real
         assert report.results[0].min_eigenvalue > 0
-        assert norm != trace and (norm > trace) == above
+        assert report.results[0].trace_norm == math.nextafter(trace, toward)
         assert all(row.slack == 0.0 for row in report.results)
 
     def test_no_state_trips_the_mask_0_refusal(self):

@@ -302,12 +302,15 @@ class TestDensityMatrix:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("dims", [(2.5, 2.9), ("2", "2"), (True, 4), 4, None, 2.0])
+    @pytest.mark.parametrize(
+        "dims", [(2.5, 2.9), ("2", "2"), (True, 4), np.array([[2]]), 4, None, 2.0]
+    )
     def test_rejects_dims_that_are_not_integers(self, dims):
         # int() would read the first two as (2, 2); True is a bool, not a
-        # dimension; the last three are not a sequence. The message names the
+        # dimension; a 2-D array's entries are arrays, whose index() raises
+        # TypeError; the last three are not a sequence. The message names the
         # type of the first bad entry, or of a value that is not a sequence
-        if isinstance(dims, tuple):
+        if isinstance(dims, (tuple, np.ndarray)):
             message = f"entry 0 must be an integer, got {type(dims[0]).__name__}"
         else:
             message = f"must be a sequence of integers, got {type(dims).__name__}"
@@ -335,6 +338,18 @@ class TestDensityMatrix:
             DensityMatrix(np.eye(1), (1,) * 13)
         rho = density_matrix(np.eye(1), (1,) * 12)
         assert subset_table(rho)(3).trace_norm == 1.0
+
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((1,) * 12 + (0,), "every dimension must be at least 1"),
+         ((1,) * 12 + (5000,), "D exceeds the dimension limit 4096"),
+         ((1,) * 13 + (0,), "more than 12 subsystems")],
+    )
+    def test_entries_are_checked_in_order(self, dims, message):
+        # each entry by value, then the count: a bad 13th entry gets its own
+        # message, a 14th the count's
+        with pytest.raises(InvalidInputError, match=f"^subsystem dimensions: {message}$"):
+            DensityMatrix(np.eye(1), dims)
 
     def test_compares_by_identity(self):
         # an ndarray field has no == that returns a bool, nor a hash
