@@ -6,10 +6,9 @@ verdict is UNDETECTED. Every criterion reads its rows from the one
 :func:`gpt_scan` report, whose table refuses input that is not a state.
 """
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +34,7 @@ class Verdict(str, Enum):
     UNDETECTED = "UNDETECTED"
 
 
-@dataclass(frozen=True)
-class SubsetResult:
+class SubsetResult(NamedTuple):
     """Outcome of one reshaped-matrix evaluation: the transpose of the labels
     in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of a state with subsystem
     dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
@@ -77,15 +75,19 @@ def _excess(res: SubsetResult) -> float:
     return (res.trace_norm - 1.0) / 2.0 if res.violating else 0.0
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Full scan outcome over the enumerated label subsets, in mask order.
-    ``lookup`` is the scan's own :func:`subset_table`: it reads any mask."""
+    :meth:`lookup` reads any mask from those rows."""
 
     dims: tuple[int, ...]
     results: tuple[SubsetResult, ...]
     argmax: SubsetResult
-    lookup: Callable[[int], SubsetResult] = field(repr=False, compare=False)
+
+    def lookup(self, mask: int) -> SubsetResult:
+        """The row of any of the 4^n masks: its class representative's (see
+        :func:`_representative`, always a scanned mask), renamed to ``mask``."""
+        row = self.results[_representative(mask, len(self.dims))]
+        return row if row.mask == mask else SubsetResult(mask, *row[1:])
 
     @property
     def verdict(self) -> Verdict:
@@ -187,7 +189,7 @@ def subset_table(rho: DensityMatrix):
         rep = _representative(mask, n)
         if rep not in rows:
             rows[rep] = SubsetResult(rep, rho.dims, *evaluate_subset(rho, rep), slack)
-        return rows[rep] if mask == rep else replace(rows[rep], mask=mask)
+        return rows[rep] if mask == rep else SubsetResult(mask, *rows[rep][1:])
 
     return row
 
@@ -197,7 +199,7 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
 
     The rows are one mask of each complement pair, and each symmetry class
     (see :func:`_representative`) is solved once, at its representative; the
-    other rows read its values bitwise. :attr:`CriterionReport.lookup` reads
+    other rows read its values bitwise. :meth:`CriterionReport.lookup` reads
     any mask, complements included.
 
     Results come in canonical (mask-ascending) subset order. Ties for the
@@ -205,10 +207,9 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     beyond the scan limit before any solve, a non-state in :func:`subset_table`.
     """
     masks = enumerate_label_subsets(len(rho.dims))
-    table = subset_table(rho)
-    results = tuple(map(table, masks))
+    results = tuple(map(subset_table(rho), masks))
     best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
-    return CriterionReport(rho.dims, results, best, table)
+    return CriterionReport(rho.dims, results, best)
 
 
 def ppt_criterion(scan: CriterionReport) -> list[SubsetResult]:

@@ -9,7 +9,6 @@ Conventions used throughout the package:
   values can be shared freely between threads.
 """
 
-from dataclasses import dataclass, field
 from math import prod
 from operator import index
 
@@ -108,7 +107,6 @@ def trace_norm(a) -> float:
     return float(singular_values(a).sum())
 
 
-@dataclass(frozen=True, eq=False)  # ndarray == is elementwise and unhashable
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
@@ -122,16 +120,17 @@ class DensityMatrix:
     the input's residual. Positivity is *not* checked here, since states
     read from files often carry rounding-scale negative eigenvalues: every
     criterion judges it from the mask-0 row of ``criteria.subset_table``,
-    which refuses input whose trace norm exceeds 1 + ``NORM_TOL``.
+    which refuses input whose trace norm exceeds 1 + ``NORM_TOL``. Instances
+    compare by identity, since ndarray ``==`` is elementwise and unhashable.
     """
 
-    mat: np.ndarray
-    dims: tuple[int, ...]
-    _residual: float = field(default=0.0, init=False, repr=False)
+    __slots__ = ("_mat", "_dims", "_residual")
+    mat = property(lambda self: self._mat, doc="The stored Hermitian part, read-only.")
+    dims = property(lambda self: self._dims, doc="Subsystem dimensions, read-only.")
 
-    def __post_init__(self):
-        dims = check_dimension(self.dims, "subsystem dimensions")
-        mat = as_matrix(self.mat, "density matrix")
+    def __init__(self, mat, dims):
+        dims = check_dimension(dims, "subsystem dimensions")
+        mat = as_matrix(mat, "density matrix")
         rows, cols = mat.shape
         if rows != cols:
             raise InvalidInputError(f"density matrix must be square, got shape {mat.shape}")
@@ -149,9 +148,7 @@ class DensityMatrix:
             raise InvalidInputError(f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}")
         herm = np.ascontiguousarray((mat + mat.conj().T) / 2)
         herm.setflags(write=False)  # read-only, so values can be shared freely
-        object.__setattr__(self, "mat", herm)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_residual", residual)
+        self._mat, self._dims, self._residual = herm, dims, residual
 
     @property
     def dim(self) -> int:

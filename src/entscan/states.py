@@ -6,8 +6,8 @@ Random generation is deterministic per seed (numpy ``default_rng``).
 """
 
 import re
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,8 +192,7 @@ def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatri
 
 # --- textual state specs (the CLI surface) ---------------------------------
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(NamedTuple):
     """Parsed ``family:params`` description of a generatable state."""
 
     family: str

@@ -182,6 +182,11 @@ class TestGptScan:
         for a, b in zip(first.results, second.results):
             assert a.mask == b.mask
             assert a.trace_norm == b.trace_norm  # bitwise identical
+        # records compare and hash by value, and no field can be assigned
+        assert first == second and hash(first) == hash(second)
+        for record, name in ((first, "argmax"), (first.argmax, "trace_norm")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
 
     def test_refuses_to_certify_a_matrix_that_is_not_psd(self):
         # Hermitian with unit trace, eigenvalues 1.5 and -0.5: every label
@@ -457,9 +462,12 @@ class TestMaskEngine:
         # every mask, listed or not, is read from its class representative's row
         rho = random_density(dims, seed=11)
         scan = gpt_scan(rho)
+        table = subset_table(rho)
         for mask in range(1 << (2 * len(dims))):
-            res = scan.lookup(mask)
+            res, row = scan.lookup(mask), table(mask)
             assert res.mask == mask
+            assert (res.trace_norm, res.min_eigenvalue, res.slack) == (
+                row.trace_norm, row.min_eigenvalue, row.slack)  # bitwise
             assert res.shape == generalized_transpose(rho, mask).shape
             assert abs(res.trace_norm - evaluate_subset(rho, mask)[0]) <= 1e-12
 

@@ -236,6 +236,9 @@ class TestDensityMatrix:
         assert rho.dim == 4
         assert rho.dims == (2, 2)
         assert not rho.mat.flags.writeable
+        for name in ("mat", "dims"):
+            with pytest.raises(AttributeError):
+                setattr(rho, name, getattr(rho, name))
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(4) / 4

@@ -238,6 +238,8 @@ class TestSpecText:
         spec = parse_state_spec("werner:0.25")
         assert spec == StateSpec("werner", (0.25,))
         assert spec_text(spec) == "werner:0.25"
+        with pytest.raises(AttributeError):
+            spec.family = "bell"
 
     def test_seed_default_applies(self):
         # an omitted trailing seed is 0, and the canonical text prints it
