@@ -12,6 +12,7 @@ import entscan
 from entscan import DensityMatrix, InvalidInputError, cli, generate, states
 from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
+from golden import assert_same_up_to_float_noise
 from reference import NEAR_PRODUCT_CASES, near_product
 
 
@@ -652,22 +653,6 @@ def _analyze_in_subprocess(spec, blas_threads):
     return proc.stdout
 
 
-def _assert_same_up_to_float_noise(a, b, where="report"):
-    assert type(a) is type(b), where
-    if isinstance(a, dict):
-        assert a.keys() == b.keys(), where
-        for key in a:
-            _assert_same_up_to_float_noise(a[key], b[key], f"{where}.{key}")
-    elif isinstance(a, list):
-        assert len(a) == len(b), where
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_same_up_to_float_noise(x, y, f"{where}[{i}]")
-    elif isinstance(a, float):
-        assert abs(a - b) <= 1e-12, where
-    else:
-        assert a == b, where
-
-
 class TestBlasThreads:
     """The promise: byte-identical reports at one BLAS thread count, and only
     last-digit float changes between thread counts."""
@@ -680,7 +665,7 @@ class TestBlasThreads:
     def test_thread_counts_differ_only_in_float_noise(self):
         one = json.loads(_analyze_in_subprocess(self.SPEC, 1))
         two = json.loads(_analyze_in_subprocess(self.SPEC, 2))
-        _assert_same_up_to_float_noise(one, two)
+        assert_same_up_to_float_noise(one, two)
 
 
 class TestArgumentHandling:
