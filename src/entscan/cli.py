@@ -38,23 +38,10 @@ from .criteria import ppt_criterion, realignment_criterion
 # not called here; kept in this namespace for tracers that look it up
 from .criteria import evaluate_subset  # noqa: F401
 from .errors import InvalidInputError, NumericalError
-from .linalg import (
-    HERM_TOL,
-    TRACE_TOL,
-    DensityMatrix,
-    check_dimension,
-    density_matrix,
-)
-from .reshape import check_scan_limit, format_label_set, parse_label_set, subsystem_letter
-from .states import (
-    StateSpec,
-    family_help,
-    generate,
-    parse_state_spec,
-    parse_sweep,
-    spec_text,
-    subsystem_count,
-)
+from .linalg import HERM_TOL, TRACE_TOL, DensityMatrix, check_dimension, density_matrix
+from .reshape import check_scan_limit, format_label_set, parse_label_set, subsystem_letters
+from .states import StateSpec, family_help, generate, parse_state_spec, parse_sweep
+from .states import spec_text, subsystem_count
 
 PARAM_TOL = 1e-6  # absolute tolerance of the scan-family bisection
 GRID_POINTS = 33  # scan-family samples before bisection
@@ -176,12 +163,6 @@ def _subset_dict(res) -> dict:
     }
 
 
-def _letters(mask: int, n: int, bits: int) -> str:
-    """The letters of the subsystems k whose labels in ``mask`` meet ``bits``
-    (1 = r_k, 2 = c_k, 3 = either)."""
-    return "".join(subsystem_letter(k) for k in range(n) if mask >> (2 * k) & bits)
-
-
 def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     """The analyze report; PPT, realignment and negativities are read from
     the one scan, which evaluates each distinct subset once."""
@@ -190,13 +171,13 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     ppt_rows = []
     for res in ppt_criterion(scan):
         row = _subset_dict(res)
-        row["subsystems"] = _letters(res.mask, n, 3)
+        row["subsystems"] = subsystem_letters(res.mask, n, 3)
         ppt_rows.append(row)
     realignment_rows = []
     for res in realignment_criterion(scan):
         row = _subset_dict(res)
         # a cut's mask holds c_k for k on the left, r_k for k on the right
-        row["cut"] = f"{_letters(res.mask, n, 2)}|{_letters(res.mask, n, 1)}"
+        row["cut"] = f"{subsystem_letters(res.mask, n, 2)}|{subsystem_letters(res.mask, n, 1)}"
         realignment_rows.append(row)
     return {
         "tool": {"name": "entscan", "version": __version__},

@@ -14,13 +14,9 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
-from .reshape import (
-    _check_mask,
-    enumerate_label_subsets,
-    format_label_set,
-    generalized_transpose,
-    transpose_shape,
-)
+# reshape holds the mask encoding; criteria only names masks through it
+from .reshape import _check_mask, complement, cut_mask, enumerate_label_subsets, layout
+from .reshape import format_label_set, generalized_transpose, pt_mask, swap
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -36,7 +32,7 @@ class Verdict(str, Enum):
 
 class SubsetResult(NamedTuple):
     """Outcome of one reshaped-matrix evaluation: the transpose of the labels
-    in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k) of a state with subsystem
+    in ``mask`` (see :mod:`entscan.reshape`) of a state with subsystem
     dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
     is set exactly for partial transpositions, the square Hermitian cases.
     ``slack`` widens the violation threshold (see :func:`subset_table`)."""
@@ -49,7 +45,7 @@ class SubsetResult(NamedTuple):
 
     @property
     def shape(self) -> tuple[int, int]:
-        return transpose_shape(self.dims, self.mask)
+        return layout(self.dims, self.mask)[1]
 
     @property
     def is_hermitian_case(self) -> bool:
@@ -62,7 +58,7 @@ class SubsetResult(NamedTuple):
 
     @property
     def complement_mask(self) -> int:
-        return ((1 << (2 * len(self.dims))) - 1) ^ self.mask
+        return complement(self.mask, len(self.dims))
 
     def label_text(self) -> str:
         return format_label_set(self.mask, len(self.dims))
@@ -115,9 +111,8 @@ def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]
     """``(trace_norm, min_eigenvalue)`` of the ``mask`` transpose, with one solver
     call; the eigenvalue is None unless ``mask`` is a partial transposition."""
     mat = generalized_transpose(rho, mask)
-    # each subsystem flips both or neither of its labels: a partial
-    # transposition, square and Hermitian on Hermitian input
-    if not (mask ^ (mask >> 1)) & (((1 << (2 * len(rho.dims))) - 1) // 3):
+    # a partial transposition: square and Hermitian on Hermitian input
+    if mask == swap(mask, len(rho.dims)):
         try:
             eigs = np.linalg.eigvalsh(mat)
         except np.linalg.LinAlgError as exc:
@@ -126,11 +121,6 @@ def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]
             ) from exc
         return float(np.abs(eigs).sum()), float(eigs.min())
     return trace_norm(mat), None
-
-
-def _pt_mask(subsystems: int) -> int:
-    """The mask transposing both labels of each subsystem bit set in ``subsystems``."""
-    return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
 
 
 def _representative(mask: int, n: int) -> int:
@@ -146,10 +136,8 @@ def _representative(mask: int, n: int) -> int:
     :class:`InvalidInputError` unless ``mask`` is one of the 4^n masks.
     """
     _check_mask(mask, n)
-    full = (1 << (2 * n)) - 1
-    r_bits = full // 3
-    swapped = ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
-    return min(mask, full ^ mask, swapped, full ^ swapped)
+    swapped = swap(mask, n)
+    return min(mask, complement(mask, n), swapped, complement(swapped, n))
 
 
 def subset_table(rho: DensityMatrix):
@@ -221,22 +209,20 @@ def ppt_criterion(scan: CriterionReport) -> list[SubsetResult]:
     1 + ``NORM_TOL`` + ``slack``; on a state that is a negative eigenvalue,
     which ``min_eigenvalue`` reports.
     """
-    return [scan.lookup(_pt_mask(x)) for x in range(1, 1 << (len(scan.dims) - 1))]
+    return [scan.lookup(pt_mask(x)) for x in range(1, 1 << (len(scan.dims) - 1))]
 
 
 def realignment_criterion(scan: CriterionReport) -> list[SubsetResult]:
     """The realignment across every bipartite cut, read from ``scan``; no
     rows for a single subsystem.
 
-    The cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X), is the
-    label subset {c_k: k in X} | {r_k: k not in X} (0b0110 at n = 2): both
-    labels of X on the row side, both of X^c on the column side, so it is
-    the cut's realignment up to row/column permutations, with equal trace
-    norm. Any norm above 1 + ``NORM_TOL`` + ``slack`` certifies entanglement.
+    One row per cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X): the
+    ``cut_mask(X, n)`` transpose is the cut's realignment up to row/column
+    permutations, with equal trace norm. Any norm above 1 + ``NORM_TOL`` +
+    ``slack`` certifies entanglement.
     """
     n = len(scan.dims)
-    r_bits = ((1 << (2 * n)) - 1) // 3
-    return [scan.lookup(r_bits ^ _pt_mask(x)) for x in range(1, (1 << n) - 1, 2)]
+    return [scan.lookup(cut_mask(x, n)) for x in range(1, (1 << n) - 1, 2)]
 
 
 def negativity(scan: CriterionReport, subsystem: int) -> float:
@@ -246,4 +232,4 @@ def negativity(scan: CriterionReport, subsystem: int) -> float:
     # an int, not a bool: int() would read 1.9, "1" and True as subsystem 1
     if not isinstance(subsystem, int) or isinstance(subsystem, bool) or not 0 <= subsystem < n:
         raise InvalidInputError(f"subsystem {subsystem!r} out of range: need an int in [0, {n})")
-    return _excess(scan.lookup(3 << (2 * subsystem)))
+    return _excess(scan.lookup(pt_mask(1 << subsystem)))

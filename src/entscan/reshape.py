@@ -6,7 +6,10 @@ labels: ``r_k`` (its row index) and ``c_k`` (its column index). By default
 ``r_k`` lives on the row side of the output and ``c_k`` on the column side,
 which reproduces the matrix itself. Transposing a subset of labels means
 flipping each of them to the opposite side. A subset is named by an integer
-mask: bit 2k is ``r_k`` and bit 2k + 1 is ``c_k``. Sides are ordered
+mask: bit 2k is ``r_k`` and bit 2k + 1 is ``c_k``. This module is the one
+place that reads or builds that encoding: :func:`layout`, the symmetries
+:func:`complement` and :func:`swap`, the criteria's masks :func:`pt_mask` and
+:func:`cut_mask`, and the label formatters. Sides are ordered
 canonically: labels sorted by subsystem index, and when both labels of one
 subsystem share a side, the ``c`` label varies slower than the ``r`` label.
 This particular ordering is what makes the realignment of a two-qubit matrix
@@ -27,14 +30,10 @@ MAX_SCAN_SUBSYSTEMS = 6
 _KINDS = ("r", "c")
 
 
-def subsystem_letter(k: int) -> str:
-    return chr(ord("A") + k) if 0 <= k < 26 else f"#{k}"
-
-
 @cache
 def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
     """Subsystem k's labels for each value of its two mask bits: none, r, c, both."""
-    r, c = (f"{kind}{subsystem_letter(k)}" for kind in _KINDS)
+    r, c = (f"{kind}{chr(ord('A') + k)}" for kind in _KINDS)
     return ("", r, c, f"{r},{c}")
 
 
@@ -48,12 +47,7 @@ def format_label_set(mask: int, n: int) -> str:
     """Render the labels in ``mask`` like ``"rA,cA"`` (subsystem order, r before c)."""
     _check_mask(mask, n)
     # one table lookup per subsystem: a report formats two label sets per row
-    parts = []
-    for k in range(n):
-        part = _subsystem_labels(k)[mask >> (2 * k) & 3]
-        if part:
-            parts.append(part)
-    return ",".join(parts)
+    return ",".join(filter(None, (_subsystem_labels(k)[mask >> (2 * k) & 3] for k in range(n))))
 
 
 def parse_label_set(text: str, n: int) -> int:
@@ -82,38 +76,73 @@ def parse_label_set(text: str, n: int) -> int:
     return mask
 
 
+def layout(dims, mask: int) -> tuple[list[int], tuple[int, int]]:
+    """The axis order (row side first; axis k is r_k, n + k is c_k, of the
+    matrix reshaped to ``dims * 2``) and the shape of the ``mask`` transpose:
+    each label on the row side multiplies the rows by d_k, others the columns."""
+    n = len(dims)
+    rows, cols = [], []
+    nrows = ncols = 1
+    for k, d in enumerate(dims):
+        # c varies slower than r when both labels of a subsystem share a side
+        if mask >> (2 * k + 1) & 1:
+            rows.append(n + k)
+            nrows *= d
+        else:
+            cols.append(n + k)
+            ncols *= d
+        if mask >> (2 * k) & 1:
+            cols.append(k)
+            ncols *= d
+        else:
+            rows.append(k)
+            nrows *= d
+    return rows + cols, (nrows, ncols)
+
+
 def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
-    """Transpose the labels in ``mask`` (bit 2k = r_k, bit 2k + 1 = c_k).
+    """Transpose the labels in ``mask``.
 
     Mask 0 returns the matrix itself; the full mask returns the global
-    transpose; ``3 << 2k`` is the partial transposition of subsystem k;
-    ``0b0110`` (``{c_A, r_B}``) on a bipartite state of dims (m, n) is the
-    realignment, whose row J*m + I holds vec(block_{I,J})^T.
+    transpose; ``pt_mask(1 << k)`` is the partial transposition of subsystem
+    k; ``cut_mask(1, 2)`` (``{c_A, r_B}``) on a bipartite state of dims
+    (m, n) is the realignment, whose row J*m + I holds vec(block_{I,J})^T.
     """
-    dims = rho.dims
-    n = len(dims)
-    _check_mask(mask, n)
-    rows, cols = [], []
-    for k in range(n):
-        # c varies slower than r when both labels of a subsystem share a side
-        (rows if mask >> (2 * k + 1) & 1 else cols).append(n + k)
-        (cols if mask >> (2 * k) & 1 else rows).append(k)
+    _check_mask(mask, len(rho.dims))
+    axes, shape = layout(rho.dims, mask)
     # a view when no data moves, else a fresh copy; read-only either way
-    out = rho.mat.reshape(dims * 2).transpose(rows + cols).reshape(transpose_shape(dims, mask))
+    out = rho.mat.reshape(rho.dims * 2).transpose(axes).reshape(shape)
     out.setflags(write=False)
     return out
 
 
-def transpose_shape(dims, mask: int) -> tuple[int, int]:
-    """Shape of ``generalized_transpose`` for ``mask``: every label on the row
-    side (r_k unflipped, c_k flipped) multiplies the rows by d_k, every other
-    label the columns."""
-    rows = cols = 1
-    for k, d in enumerate(dims):
-        on_rows = (not mask >> (2 * k) & 1) + (mask >> (2 * k + 1) & 1)
-        rows *= d**on_rows
-        cols *= d ** (2 - on_rows)
-    return rows, cols
+def complement(mask: int, n: int) -> int:
+    """The mask of every label of ``n`` subsystems that ``mask`` leaves out."""
+    return ((1 << (2 * n)) - 1) ^ mask
+
+
+def swap(mask: int, n: int) -> int:
+    """``mask`` with r_k and c_k exchanged in each subsystem. A mask is a partial
+    transposition (both labels of a subsystem or neither) iff it is its swap."""
+    r_bits = complement(0, n) // 3
+    return ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
+
+
+def pt_mask(subsystems: int) -> int:
+    """Both labels of each subsystem whose bit is set in ``subsystems``."""
+    return sum(3 << (2 * k) for k in range(subsystems.bit_length()) if subsystems >> k & 1)
+
+
+def cut_mask(left: int, n: int) -> int:
+    """{c_k: k in X} | {r_k: k not in X}, X the subsystem bitmask ``left``: both
+    labels of X on the row side, X^c's on the column side, so X|X^c's realignment."""
+    return complement(0, n) // 3 ^ pt_mask(left)
+
+
+def subsystem_letters(mask: int, n: int, bits: int) -> str:
+    """The letters of the subsystems k < n whose labels in ``mask`` meet
+    ``bits`` (1 = r_k, 2 = c_k, 3 = either)."""
+    return "".join(chr(ord("A") + k) for k in range(n) if mask >> (2 * k) & bits)
 
 
 def check_scan_limit(n: int) -> None:

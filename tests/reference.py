@@ -129,7 +129,7 @@ def naive_label_text(mask, n):
     """The labels in ``mask``, one bit at a time: subsystem order, r before c."""
     names = []
     for k in range(n):
-        letter = chr(ord("A") + k) if k < 26 else f"#{k}"
+        letter = chr(ord("A") + k)
         for bit, kind in enumerate("rc"):
             if mask >> (2 * k + bit) & 1:
                 names.append(f"{kind}{letter}")
