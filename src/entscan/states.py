@@ -328,11 +328,10 @@ def parse_sweep(text: str) -> tuple[str, tuple, str]:
     """Parse a family spec with its trailing real parameter omitted.
 
     Returns the family, its fixed parameters and the description the sweep
-    report prints; ``StateSpec(family, fixed + (value,))`` is the state at
-    ``value``.
+    report prints, which names them as :func:`spec_text` does;
+    ``StateSpec(family, fixed + (value,))`` is the state at ``value``.
     """
     family, tokens = _split_spec(text)
-    tokens = [t for t in tokens if t]
     if family not in _SWEEPABLE:
         raise InvalidInputError(
             f"family {family!r} cannot be swept; families with one free real "
@@ -345,7 +344,7 @@ def parse_sweep(text: str) -> tuple[str, tuple, str]:
             f"swept one, got {len(tokens)}"
         )
     fixed = _parse_params(fixed_params, tokens)
-    return family, fixed, f"{family}:{','.join(tokens)}" if tokens else family
+    return family, fixed, f"{family}:{','.join(map(_value_text, fixed))}" if fixed else family
 
 
 def subsystem_count(spec: StateSpec) -> int:

@@ -436,6 +436,29 @@ class TestScanFamily:
         assert code == 1
         assert "isotropic needs 1 fixed parameter(s) before the swept one, got 0" in err
 
+    @pytest.mark.parametrize(
+        "family, needs, got",
+        [("isotropic:,3", 1, 2), ("isotropic:3,,", 1, 3), ("werner:,", 0, 2)],
+    )
+    def test_empty_parameters_are_counted(self, capsys, family, needs, got):
+        # analyze counts an empty token too: analyze isotropic:3,,0.5 exits 1
+        code, out, err = run(capsys, "scan-family", family, "--min", "0", "--max", "1")
+        assert code == 1
+        assert out == ""
+        family_name = family.partition(":")[0]
+        assert err == (f"entscan: error: {family_name} needs {needs} fixed parameter(s) "
+                       f"before the swept one, got {got}\n")
+
+    def test_family_is_named_as_analyze_names_it(self, capsys):
+        # the fixed parameters are printed parsed, like analyze's input name
+        code, report, _ = run_json(capsys, "scan-family", "isotropic: 03",
+                                   "--min", "0", "--max", "1")
+        assert code == 0
+        assert report["family"] == "isotropic:3"
+        code, analyzed, _ = run_json(capsys, "analyze", "isotropic: 03,0.5")
+        assert code == 3
+        assert analyzed["input"]["name"] == report["family"] + ",0.5"
+
     def test_every_scan_is_used_once(self, capsys, monkeypatch):
         scans = []
 
