@@ -18,6 +18,7 @@ from entscan import (
     singular_values,
     trace_norm,
 )
+from entscan.reshape import complement, cut_mask, layout, pt_mask, subsystem_letters, swap
 
 from reference import (
     all_flip_sets,
@@ -293,6 +294,54 @@ class TestCutAndRealign:
         row = realignment_criterion(gpt_scan(rho))[2]  # AC|B
         assert row.shape == (16, 4)
         assert abs(row.trace_norm - expected) < 1e-12
+
+
+class TestMaskVocabulary:
+    """reshape's mask rules against the label sets of ``reference.all_flip_sets``."""
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 3)])
+    def test_layout_places_entries_like_the_naive_transpose(self, dims):
+        side = int(np.prod(dims))
+        index = np.arange(side * side).reshape(side, side)
+        for mask, flips in all_flip_sets(len(dims)):
+            axes, shape = layout(dims, mask)
+            got = index.reshape(dims * 2).transpose(axes).reshape(shape)
+            expected = naive_generalized_transpose(index, dims, flips)
+            assert shape == expected.shape, mask
+            assert np.array_equal(got, expected.real.astype(int)), mask
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symmetries_and_criteria_masks_name_their_label_sets(self, n):
+        mask_of = {flips: mask for mask, flips in all_flip_sets(n)}
+        labels = frozenset((kind, k) for kind in "rc" for k in range(n))
+        other = {"r": "c", "c": "r"}
+        for mask, flips in all_flip_sets(n):
+            assert complement(mask, n) == mask_of[labels - flips]
+            assert swap(mask, n) == mask_of[frozenset((other[kind], k) for kind, k in flips)]
+            assert (swap(mask, n) == mask) == flips_both_or_neither(mask, n)
+        for x in range(1 << n):
+            inside = [k for k in range(n) if x >> k & 1]
+            assert pt_mask(x) == mask_of[frozenset((kind, k) for kind in "rc" for k in inside)]
+            cut = {("c", k) if k in inside else ("r", k) for k in range(n)}
+            assert cut_mask(x, n) == mask_of[frozenset(cut)]
+
+    @pytest.mark.parametrize(
+        "mask, n, bits, letters",
+        [
+            (0, 3, 3, ""),
+            (0b0110, 2, 2, "A"),  # {cA,rB}: c labels
+            (0b0110, 2, 1, "B"),  # r labels
+            (0b0110, 2, 3, "AB"),
+            (0b110011, 3, 3, "AC"),  # partial transposition of A and C
+            (0b100110, 3, 2, "AC"),  # {cA,rB,cC}
+            (0b100110, 3, 1, "B"),
+            (3 << 22, 12, 3, "L"),
+            (2 << 22, 12, 1, ""),
+            ((1 << 24) - 1, 12, 1, "ABCDEFGHIJKL"),
+        ],
+    )
+    def test_subsystem_letters(self, mask, n, bits, letters):
+        assert subsystem_letters(mask, n, bits) == letters
 
 
 class TestEnumeration:
