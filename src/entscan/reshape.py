@@ -47,7 +47,12 @@ def format_label_set(mask: int, n: int) -> str:
     """Render the labels in ``mask`` like ``"rA,cA"`` (subsystem order, r before c)."""
     _check_mask(mask, n)
     # one table lookup per subsystem: a report formats two label sets per row
-    return ",".join(filter(None, (_subsystem_labels(k)[mask >> (2 * k) & 3] for k in range(n))))
+    parts = []
+    for k in range(n):
+        part = _subsystem_labels(k)[mask >> (2 * k) & 3]
+        if part:
+            parts.append(part)
+    return ",".join(parts)
 
 
 def parse_label_set(text: str, n: int) -> int:
