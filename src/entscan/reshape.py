@@ -82,10 +82,11 @@ def parse_label_set(text: str, n: int) -> int:
 
 
 def layout(dims, mask: int) -> tuple[list[int], tuple[int, int]]:
-    """The axis order (row side first; axis k is r_k, n + k is c_k, of the
-    matrix reshaped to ``dims * 2``) and the shape of the ``mask`` transpose:
-    each label on the row side multiplies the rows by d_k, others the columns."""
+    """Axis order (row side first; axis k is r_k, n + k is c_k, of the matrix
+    reshaped to ``dims * 2``) and shape of the transpose of ``mask``, one of
+    the 4^n masks: a row-side label multiplies the rows by d_k, others columns."""
     n = len(dims)
+    _check_mask(mask, n)
     rows, cols = [], []
     nrows = ncols = 1
     for k, d in enumerate(dims):
@@ -113,7 +114,6 @@ def generalized_transpose(rho: DensityMatrix, mask: int) -> np.ndarray:
     k; ``cut_mask(1, 2)`` (``{c_A, r_B}``) on a bipartite state of dims
     (m, n) is the realignment, whose row J*m + I holds vec(block_{I,J})^T.
     """
-    _check_mask(mask, len(rho.dims))
     axes, shape = layout(rho.dims, mask)
     # a view when no data moves, else a fresh copy; read-only either way
     out = rho.mat.reshape(rho.dims * 2).transpose(axes).reshape(shape)

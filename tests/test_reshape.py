@@ -310,6 +310,10 @@ class TestMaskVocabulary:
             assert shape == expected.shape, mask
             assert np.array_equal(got, expected.real.astype(int)), mask
 
+    def test_layout_refuses_a_mask_naming_no_label(self):
+        with pytest.raises(InvalidInputError, match=r"^mask 16 out of range \[0, 16\) for 2 "):
+            layout((2, 3), 16)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_symmetries_and_criteria_masks_name_their_label_sets(self, n):
         mask_of = {flips: mask for mask, flips in all_flip_sets(n)}
