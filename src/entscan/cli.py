@@ -39,7 +39,8 @@ from .criteria import ppt_criterion, realignment_criterion
 from .criteria import evaluate_subset  # noqa: F401
 from .errors import InvalidInputError, NumericalError
 from .linalg import HERM_TOL, TRACE_TOL, DensityMatrix, check_dimension, density_matrix
-from .reshape import check_scan_limit, format_label_set, parse_label_set, subsystem_letters
+from .reshape import check_scan_limit, complement, format_label_set, layout, parse_label_set
+from .reshape import subsystem_letters
 from .states import StateSpec, family_help, generate, parse_state_spec, parse_sweep
 from .states import spec_text, subsystem_count
 
@@ -150,14 +151,15 @@ def _resolve_input(text: str, scan: bool = False):
 
 # --- report assembly --------------------------------------------------------
 
-def _subset_dict(res) -> dict:
+def _subset_dict(res, dims) -> dict:
+    n = len(dims)
     return {
-        "labels": res.label_text(),
+        "labels": format_label_set(res.mask, n),
         "mask": res.mask,
-        "complement": format_label_set(res.complement_mask, len(res.dims)),
-        "shape": list(res.shape),
+        "complement": format_label_set(complement(res.mask, n), n),
+        "shape": list(layout(dims, res.mask)[1]),
         "trace_norm": res.trace_norm,
-        "hermitian_case": res.is_hermitian_case,
+        "hermitian_case": res.min_eigenvalue is not None,
         "min_eigenvalue": res.min_eigenvalue,
         "violating": res.violating,
     }
@@ -168,17 +170,15 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     the one scan, which evaluates each distinct subset once."""
     n = len(rho.dims)
     scan = gpt_scan(rho)
-    ppt_rows = []
-    for res in ppt_criterion(scan):
-        row = _subset_dict(res)
-        row["subsystems"] = subsystem_letters(res.mask, n, 3)
-        ppt_rows.append(row)
-    realignment_rows = []
-    for res in realignment_criterion(scan):
-        row = _subset_dict(res)
-        # a cut's mask holds c_k for k on the left, r_k for k on the right
-        row["cut"] = f"{subsystem_letters(res.mask, n, 2)}|{subsystem_letters(res.mask, n, 1)}"
-        realignment_rows.append(row)
+    ppt_rows = [
+        {**_subset_dict(res, rho.dims), "subsystems": subsystem_letters(res.mask, n, 3)}
+        for res in ppt_criterion(scan)
+    ]
+    realignment_rows = [  # a cut's mask holds c_k for k on the left, r_k for k on the right
+        {**_subset_dict(res, rho.dims),
+         "cut": f"{subsystem_letters(res.mask, n, 2)}|{subsystem_letters(res.mask, n, 1)}"}
+        for res in realignment_criterion(scan)
+    ]
     return {
         "tool": {"name": "entscan", "version": __version__},
         "input": {
@@ -197,9 +197,9 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
         "realignment": {"applicable": n >= 2, "results": realignment_rows},
         "scan": {
             "subsets_evaluated": len(scan.results),
-            "results": [_subset_dict(res) for res in scan.results],
+            "results": [_subset_dict(res, rho.dims) for res in scan.results],
             "max_norm": scan.max_norm,
-            "argmax_labels": scan.argmax.label_text(),
+            "argmax_labels": format_label_set(scan.argmax.mask, n),
             "violations": [format_label_set(mask, n) for mask in scan.violations],
         },
         "verdict": scan.verdict.value,
@@ -315,7 +315,7 @@ def cmd_norms(args) -> int:
     rho, _ = _resolve_input(args.input)
     mask = parse_label_set(args.labels, len(rho.dims))
     # the scan's own table: refuses a non-state and prints the analyze row bitwise
-    report = _subset_dict(subset_table(rho)(mask))
+    report = _subset_dict(subset_table(rho)(mask), rho.dims)
     _emit(report, args.format, render_human_norms)
     return 0
 

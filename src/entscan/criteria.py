@@ -8,6 +8,7 @@ verdict is UNDETECTED. Every criterion reads its rows from the one
 
 from enum import Enum
 from math import sqrt
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -15,8 +16,8 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
 # reshape holds the mask encoding; criteria only names masks through it
-from .reshape import _check_mask, complement, cut_mask, enumerate_label_subsets, layout
-from .reshape import format_label_set, generalized_transpose, pt_mask, swap
+from .reshape import _check_mask, complement, cut_mask, enumerate_label_subsets
+from .reshape import generalized_transpose, pt_mask, swap
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -32,36 +33,20 @@ class Verdict(str, Enum):
 
 class SubsetResult(NamedTuple):
     """Outcome of one reshaped-matrix evaluation: the transpose of the labels
-    in ``mask`` (see :mod:`entscan.reshape`) of a state with subsystem
-    dimensions ``dims``. Only the solved values are stored; ``min_eigenvalue``
-    is set exactly for partial transpositions, the square Hermitian cases.
-    ``slack`` widens the violation threshold (see :func:`subset_table`)."""
+    in ``mask`` (see :mod:`entscan.reshape`, which names and shapes it). Only
+    the solved values are stored; ``min_eigenvalue`` is set exactly for
+    partial transpositions, the square Hermitian cases. ``slack`` widens the
+    violation threshold (see :func:`subset_table`)."""
 
     mask: int
-    dims: tuple[int, ...]
     trace_norm: float
     min_eigenvalue: float | None
     slack: float
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return layout(self.dims, self.mask)[1]
-
-    @property
-    def is_hermitian_case(self) -> bool:
-        return self.min_eigenvalue is not None
-
-    @property
     def violating(self) -> bool:
         """The one violation rule of every criterion here."""
         return self.trace_norm > 1.0 + NORM_TOL + self.slack
-
-    @property
-    def complement_mask(self) -> int:
-        return complement(self.mask, len(self.dims))
-
-    def label_text(self) -> str:
-        return format_label_set(self.mask, len(self.dims))
 
 
 def _excess(res: SubsetResult) -> float:
@@ -171,12 +156,12 @@ def subset_table(rho: DensityMatrix):
         )
     t = (norm - rho.trace().real) / 2 if low < 0 else 0.0
     slack = (1 + sqrt(rho.dim)) * t
-    rows = {0: SubsetResult(0, rho.dims, norm, low, slack)}
+    rows = {0: SubsetResult(0, norm, low, slack)}
 
     def row(mask: int) -> SubsetResult:
         rep = _representative(mask, n)
         if rep not in rows:
-            rows[rep] = SubsetResult(rep, rho.dims, *evaluate_subset(rho, rep), slack)
+            rows[rep] = SubsetResult(rep, *evaluate_subset(rho, rep), slack)
         return rows[rep] if mask == rep else SubsetResult(mask, *rows[rep][1:])
 
     return row
@@ -229,7 +214,10 @@ def negativity(scan: CriterionReport, subsystem: int) -> float:
     """(trace norm of the subsystem's partial transpose - 1) / 2, read from
     ``scan``; exactly 0 unless that row violates."""
     n = len(scan.dims)
-    # an int, not a bool: int() would read 1.9, "1" and True as subsystem 1
-    if not isinstance(subsystem, int) or isinstance(subsystem, bool) or not 0 <= subsystem < n:
+    try:  # numpy ints too, no bool: int() would read 1.9, "1" and True as subsystem 1
+        k = index(None if isinstance(subsystem, bool) else subsystem)
+    except TypeError:
+        k = -1
+    if not 0 <= k < n:
         raise InvalidInputError(f"subsystem {subsystem!r} out of range: need an int in [0, {n})")
-    return _excess(scan.lookup(pt_mask(1 << subsystem)))
+    return _excess(scan.lookup(pt_mask(1 << k)))

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DensityMatrix
+from .linalg import MAX_SUBSYSTEMS, DensityMatrix
 
 # Beyond this many subsystems a full scan would evaluate > 4^7 reshapes.
 MAX_SCAN_SUBSYSTEMS = 6
@@ -38,7 +38,10 @@ def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
 
 
 def _check_mask(mask: int, n: int) -> None:
-    """Raise unless ``mask`` is one of the 4^n masks; a negative mask shifts to -1."""
+    """Raise unless ``mask`` is one of the 4^n masks and ``n`` is at most
+    ``MAX_SUBSYSTEMS``, the most any state has; a negative mask shifts to -1."""
+    if n > MAX_SUBSYSTEMS:
+        raise InvalidInputError(f"{n} subsystems: more than {MAX_SUBSYSTEMS}")
     if mask >> (2 * n):
         raise InvalidInputError(f"mask {mask} out of range [0, {1 << (2 * n)}) for {n} subsystems")
 
@@ -147,6 +150,7 @@ def cut_mask(left: int, n: int) -> int:
 def subsystem_letters(mask: int, n: int, bits: int) -> str:
     """The letters of the subsystems k < n whose labels in ``mask`` meet
     ``bits`` (1 = r_k, 2 = c_k, 3 = either)."""
+    _check_mask(mask, n)
     return "".join(chr(ord("A") + k) for k in range(n) if mask >> (2 * k) & bits)
 
 

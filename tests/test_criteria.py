@@ -31,6 +31,7 @@ from entscan import criteria
 from entscan.cli import build_analyze_report
 from entscan.criteria import SubsetResult, _representative, subset_table
 from entscan.linalg import TRACE_TOL
+from entscan.reshape import complement, layout, swap
 
 from reference import (
     NEAR_PRODUCT_CASES,
@@ -258,8 +259,7 @@ class TestGptScan:
         threshold = 1.0 + NORM_TOL + slack
 
         def row(norm):
-            return SubsetResult(mask=6, dims=(2, 2), trace_norm=norm,
-                                min_eigenvalue=None, slack=slack)
+            return SubsetResult(mask=6, trace_norm=norm, min_eigenvalue=None, slack=slack)
 
         assert not row(threshold).violating
         assert row(math.nextafter(threshold, 2.0)).violating
@@ -308,9 +308,11 @@ class TestGptScan:
     def test_hermitian_cases_carry_min_eigenvalue(self):
         report = gpt_scan(bell_state("psi-"))
         for res in map(report.lookup, range(16)):
-            if res.is_hermitian_case:
+            # the Hermitian cases are the partial transpositions, each its own swap
+            if res.mask == swap(res.mask, 2):
                 assert res.min_eigenvalue is not None
-                assert res.shape[0] == res.shape[1]
+                rows, cols = layout((2, 2), res.mask)[1]
+                assert rows == cols
             else:
                 assert res.min_eigenvalue is None
 
@@ -319,7 +321,7 @@ class TestGptScan:
             rho = random_density((2, 2), seed=seed)
             report = gpt_scan(rho)
             for res in map(report.lookup, range(16)):
-                if res.is_hermitian_case and res.min_eigenvalue >= -1e-12:
+                if res.min_eigenvalue is not None and res.min_eigenvalue >= -1e-12:
                     assert abs(res.trace_norm - 1.0) < 1e-10
 
 
@@ -361,6 +363,14 @@ class TestNegativity:
         for k in (-1, 2):
             with pytest.raises(InvalidInputError, match="out of range"):
                 negativity(gpt_scan(bell_state("psi-")), k)
+
+    def test_subsystem_may_be_a_numpy_int(self):
+        # as check_dimension reads dims; each subsystem here has its own value
+        scan = gpt_scan(random_density((2, 2, 3), seed=4))
+        values = [negativity(scan, k) for k in range(3)]
+        assert len(set(values)) == 3
+        for k in range(3):
+            assert negativity(scan, np.int64(k)) == values[k]
 
     @pytest.mark.parametrize("k", [1.9, "1", True, 1.0], ids=["float", "str", "bool", "whole"])
     def test_subsystem_must_be_an_int(self, k):
@@ -416,12 +426,12 @@ class TestEvaluateSubset:
             # bitwise the solve of its class representative, in its own shape
             single = evaluate_subset(rho, _representative(res.mask, 2))
             assert single == (res.trace_norm, res.min_eigenvalue)
-            assert generalized_transpose(rho, res.mask).shape == res.shape
+            assert generalized_transpose(rho, res.mask).shape == layout(rho.dims, res.mask)[1]
 
     def test_complement_recorded(self):
         rho = bell_state("psi-")
         res = subset_table(rho)(0)
-        assert res.complement_mask == 15
+        assert complement(res.mask, len(rho.dims)) == 15
 
 
 @pytest.mark.parametrize(
@@ -468,7 +478,7 @@ class TestMaskEngine:
             assert res.mask == mask
             assert (res.trace_norm, res.min_eigenvalue, res.slack) == (
                 row.trace_norm, row.min_eigenvalue, row.slack)  # bitwise
-            assert res.shape == generalized_transpose(rho, mask).shape
+            assert layout(dims, mask)[1] == generalized_transpose(rho, mask).shape
             assert abs(res.trace_norm - evaluate_subset(rho, mask)[0]) <= 1e-12
 
     @pytest.mark.parametrize("mask", [16, 100, -1])
@@ -502,7 +512,7 @@ class TestMaskEngine:
         assert len(report["ppt"]["results"]) == len(ppt)
         for row, res in zip(report["ppt"]["results"], ppt):
             assert row["mask"] == res.mask
-            assert row["shape"] == list(res.shape)
+            assert row["shape"] == list(layout(rho.dims, res.mask)[1])
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
             assert row["min_eigenvalue"] == res.min_eigenvalue
@@ -510,7 +520,7 @@ class TestMaskEngine:
         assert len(report["realignment"]["results"]) == len(realign)
         for row, res in zip(report["realignment"]["results"], realign):
             assert row["mask"] == res.mask
-            assert row["shape"] == list(res.shape)
+            assert row["shape"] == list(layout(rho.dims, res.mask)[1])
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
         for k, value in enumerate(report["negativity_per_subsystem"]):
@@ -582,7 +592,9 @@ class TestSymmetryClasses:
         assert len(scan.results) == 1 << (2 * len(dims) - 1)
         assert len(calls) == class_count(len(dims))
         # every partial transposition is still solved by eigvalsh
-        assert calls.count("eigvalsh") == sum(r.is_hermitian_case for r in scan.results)
+        assert calls.count("eigvalsh") == sum(
+            r.min_eigenvalue is not None for r in scan.results
+        )
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
     def test_rows_read_their_representative_bitwise(self, dims):
@@ -594,8 +606,8 @@ class TestSymmetryClasses:
             assert row.trace_norm == rep.trace_norm
             assert row.violating == rep.violating
             assert row.min_eigenvalue == rep.min_eigenvalue
-            assert row.is_hermitian_case == rep.is_hermitian_case
-            assert row.shape == generalized_transpose(rho, row.mask).shape
+            assert (row.min_eigenvalue is None) == (rep.min_eigenvalue is None)
+            assert layout(dims, row.mask)[1] == generalized_transpose(rho, row.mask).shape
 
     def test_stored_matrix_is_bitwise_hermitian(self):
         rng = np.random.default_rng(12)

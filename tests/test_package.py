@@ -40,6 +40,13 @@ def test_report_has_no_duplicate_reader(member):
     assert not hasattr(entscan.CriterionReport, member)
 
 
+# a scan row is its solve; reshape names and shapes it from the mask
+def test_subset_result_holds_only_its_solve():
+    assert entscan.SubsetResult._fields == ("mask", "trace_norm", "min_eigenvalue", "slack")
+    for member in ("dims", "shape", "complement_mask", "label_text", "is_hermitian_case"):
+        assert not hasattr(entscan.SubsetResult, member), member
+
+
 def test_readme_library_example_runs(capsys):
     # a name removed from the package but left in README fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

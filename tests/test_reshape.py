@@ -265,12 +265,12 @@ class TestCutAndRealign:
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
         (row,) = realignment_criterion(gpt_scan(rho))
-        assert row.shape == generalized_transpose(rho, 0b0110).shape
+        assert layout(rho.dims, row.mask)[1] == generalized_transpose(rho, 0b0110).shape
         assert abs(row.trace_norm - trace_norm(generalized_transpose(rho, 0b0110))) < 1e-12
 
     def test_ghz_first_vs_rest_norm(self):
         row = realignment_criterion(gpt_scan(ghz_state(3)))[0]  # A|BC
-        assert row.shape == (4, 16)
+        assert layout((2, 2, 2), row.mask)[1] == (4, 16)
         assert abs(row.trace_norm - 2.0) < 1e-12
 
     def test_product_state_cuts_stay_bounded(self):
@@ -292,7 +292,7 @@ class TestCutAndRealign:
         regrouped = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
         expected = naive_trace_norm(naive_realign(regrouped, (4, 2)))
         row = realignment_criterion(gpt_scan(rho))[2]  # AC|B
-        assert row.shape == (16, 4)
+        assert layout(rho.dims, row.mask)[1] == (16, 4)
         assert abs(row.trace_norm - expected) < 1e-12
 
 
@@ -346,6 +346,11 @@ class TestMaskVocabulary:
     )
     def test_subsystem_letters(self, mask, n, bits, letters):
         assert subsystem_letters(mask, n, bits) == letters
+
+    def test_subsystem_letters_refuses_a_mask_naming_no_label(self):
+        # bit 40 is no label of two subsystems; unchecked, it read as no letter
+        with pytest.raises(InvalidInputError, match=r"^mask 1099511627776 out of range \[0, 16\) "):
+            subsystem_letters(1 << 40, 2, 3)
 
 
 class TestEnumeration:
@@ -432,3 +437,13 @@ class TestLabelText:
         # dropped from the text, and 16 printed as the empty set
         with pytest.raises(InvalidInputError, match=rf"^mask {mask} out of range \[0, 16\) for 2 "):
             format_label_set(mask, 2)
+
+    @pytest.mark.parametrize(
+        "read", [lambda: format_label_set(3 << 52, 27), lambda: subsystem_letters(3 << 24, 13, 3)],
+        ids=["format_label_set", "subsystem_letters"],
+    )
+    def test_refuses_more_subsystems_than_a_state_has(self, read):
+        # no state has more than MAX_SUBSYSTEMS = 12; past Z the letters ran
+        # on into punctuation, so 27 subsystems printed "r[,c["
+        with pytest.raises(InvalidInputError, match=r"^(13|27) subsystems: more than 12$"):
+            read()
