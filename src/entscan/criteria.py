@@ -11,13 +11,11 @@ from math import sqrt
 from operator import index
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import InvalidInputError, NumericalError
-from .linalg import DensityMatrix, matrix_fingerprint, trace_norm
+from .errors import InvalidInputError
+from .linalg import DensityMatrix, hermitian_trace_norm, trace_norm
 # reshape holds the mask encoding; criteria only names masks through it
-from .reshape import _check_mask, complement, cut_mask, enumerate_label_subsets
-from .reshape import generalized_transpose, pt_mask, swap
+from .reshape import cut_mask, enumerate_label_subsets, generalized_transpose, pt_mask
+from .reshape import representative, swap
 
 # Absolute slack on (trace norm - 1) before a subset counts as a violation;
 # SVD error for the matrix sizes handled here is orders of magnitude below.
@@ -66,8 +64,8 @@ class CriterionReport(NamedTuple):
 
     def lookup(self, mask: int) -> SubsetResult:
         """The row of any of the 4^n masks: its class representative's (see
-        :func:`_representative`, always a scanned mask), renamed to ``mask``."""
-        row = self.results[_representative(mask, len(self.dims))]
+        :func:`reshape.representative`, always a scanned mask), renamed to ``mask``."""
+        row = self.results[representative(mask, len(self.dims))]
         return row if row.mask == mask else SubsetResult(mask, *row[1:])
 
     @property
@@ -98,31 +96,8 @@ def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]
     mat = generalized_transpose(rho, mask)
     # a partial transposition: square and Hermitian on Hermitian input
     if mask == swap(mask, len(rho.dims)):
-        try:
-            eigs = np.linalg.eigvalsh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigensolver did not converge for {matrix_fingerprint(mat)}"
-            ) from exc
-        return float(np.abs(eigs).sum()), float(eigs.min())
+        return hermitian_trace_norm(mat)
     return trace_norm(mat), None
-
-
-def _representative(mask: int, n: int) -> int:
-    """The smallest mask of the symmetry class {M, comp M, swap M, comp swap M}
-    of ``mask`` = M, the one the scan solves for the whole class.
-
-    ``swap`` exchanges r_k and c_k of every subsystem. The complement's
-    transpose is the transpose of M's matrix. For Hermitian rho,
-    rho^T = conj(rho); the M transpose of rho^T is, up to row and column
-    order, the comp swap M transpose of rho, and conjugation keeps singular
-    values. So all four share one singular spectrum. DensityMatrix holds rho
-    bitwise Hermitian, so this is exact, not approximate. Raises
-    :class:`InvalidInputError` unless ``mask`` is one of the 4^n masks.
-    """
-    _check_mask(mask, n)
-    swapped = swap(mask, n)
-    return min(mask, complement(mask, n), swapped, complement(swapped, n))
 
 
 def subset_table(rho: DensityMatrix):
@@ -159,7 +134,7 @@ def subset_table(rho: DensityMatrix):
     rows = {0: SubsetResult(0, norm, low, slack)}
 
     def row(mask: int) -> SubsetResult:
-        rep = _representative(mask, n)
+        rep = representative(mask, n)
         if rep not in rows:
             rows[rep] = SubsetResult(rep, *evaluate_subset(rho, rep), slack)
         return rows[rep] if mask == rep else SubsetResult(mask, *rows[rep][1:])
@@ -171,7 +146,7 @@ def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     """Evaluate every enumerated label subset and assemble the verdict.
 
     The rows are one mask of each complement pair, and each symmetry class
-    (see :func:`_representative`) is solved once, at its representative; the
+    (see :func:`reshape.representative`) is solved once, at its representative; the
     other rows read its values bitwise. :meth:`CriterionReport.lookup` reads
     any mask, complements included.
 

@@ -107,6 +107,18 @@ def trace_norm(a) -> float:
     return float(singular_values(a).sum())
 
 
+def hermitian_trace_norm(mat: np.ndarray) -> tuple[float, float]:
+    """``(trace_norm, min_eigenvalue)`` of a Hermitian matrix, from one
+    eigensolve: its singular values are the |eigenvalues|."""
+    try:
+        eigs = np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"eigensolver did not converge for {matrix_fingerprint(mat)}"
+        ) from exc
+    return float(np.abs(eigs).sum()), float(eigs.min())
+
+
 class DensityMatrix:
     """Square complex matrix plus the ordered subsystem dimensions.
 
@@ -138,7 +150,10 @@ class DensityMatrix:
             raise InvalidInputError(
                 f"dims {dims} multiply to {prod(dims)}, but the matrix side is {rows}"
             )
-        residual = float(np.abs(mat - mat.conj().T).max())
+        # over blocks of about 2^16 entries, so no temporary is D x D
+        step = max(1, (1 << 16) // rows)
+        residual = max(float(np.abs(mat[i:i + step] - mat[:, i:i + step].conj().T).max())
+                       for i in range(0, rows, step))
         if residual > HERM_TOL:
             raise InvalidInputError(
                 f"matrix is not Hermitian: max |m - m^dag| = {residual:.3e} > {HERM_TOL:.3e}"
@@ -146,7 +161,11 @@ class DensityMatrix:
         tr = complex(mat.trace())
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidInputError(f"trace must be 1 within {TRACE_TOL:g}, got {tr:.12g}")
-        herm = np.ascontiguousarray((mat + mat.conj().T) / 2)
+        # (m + m^dag) / 2 in one C-ordered buffer; dividing by 2, as numpy
+        # does for that expression, keeps its signed zeros (* 0.5 would not)
+        herm = np.conjugate(mat.T, out=np.empty_like(mat, order="C"))
+        herm += mat
+        herm /= 2
         herm.setflags(write=False)  # read-only, so values can be shared freely
         self._mat, self._dims, self._residual = herm, dims, residual
 

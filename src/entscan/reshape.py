@@ -8,10 +8,11 @@ which reproduces the matrix itself. Transposing a subset of labels means
 flipping each of them to the opposite side. A subset is named by an integer
 mask: bit 2k is ``r_k`` and bit 2k + 1 is ``c_k``. This module is the one
 place that reads or builds that encoding: :func:`layout`, the symmetries
-:func:`complement` and :func:`swap`, the criteria's masks :func:`pt_mask` and
-:func:`cut_mask`, and the label formatters. Sides are ordered
-canonically: labels sorted by subsystem index, and when both labels of one
-subsystem share a side, the ``c`` label varies slower than the ``r`` label.
+:func:`complement` and :func:`swap` and their classes' :func:`representative`,
+the criteria's masks :func:`pt_mask` and :func:`cut_mask`, and the label
+formatters. Sides are ordered canonically: labels sorted by subsystem index,
+and when both labels of one subsystem share a side, the ``c`` label varies
+slower than the ``r`` label.
 This particular ordering is what makes the realignment of a two-qubit matrix
 come out with rows (m_11, m_21, m_12, m_22), (m_31, m_41, m_32, m_42), ...
 rather than some row/column permutation of that layout.
@@ -134,6 +135,23 @@ def swap(mask: int, n: int) -> int:
     transposition (both labels of a subsystem or neither) iff it is its swap."""
     r_bits = complement(0, n) // 3
     return ((mask & r_bits) << 1) | ((mask >> 1) & r_bits)
+
+
+def representative(mask: int, n: int) -> int:
+    """The smallest mask of the symmetry class {M, comp M, swap M, comp swap M}
+    of ``mask`` = M, the one the scan solves for the whole class.
+
+    ``swap`` exchanges r_k and c_k of every subsystem. The complement's
+    transpose is the transpose of M's matrix. For Hermitian rho,
+    rho^T = conj(rho); the M transpose of rho^T is, up to row and column
+    order, the comp swap M transpose of rho, and conjugation keeps singular
+    values. So all four share one singular spectrum. DensityMatrix holds rho
+    bitwise Hermitian, so this is exact, not approximate. Raises
+    :class:`InvalidInputError` unless ``mask`` is one of the 4^n masks.
+    """
+    _check_mask(mask, n)
+    swapped = swap(mask, n)
+    return min(mask, complement(mask, n), swapped, complement(swapped, n))
 
 
 def pt_mask(subsystems: int) -> int:

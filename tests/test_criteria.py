@@ -1,6 +1,7 @@
 """Tests for criterion evaluation and entanglement quantification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,9 +30,9 @@ from entscan import (
 )
 from entscan import criteria
 from entscan.cli import build_analyze_report
-from entscan.criteria import SubsetResult, _representative, subset_table
+from entscan.criteria import SubsetResult, subset_table
 from entscan.linalg import TRACE_TOL
-from entscan.reshape import complement, layout, swap
+from entscan.reshape import complement, layout, representative, swap
 
 from reference import (
     NEAR_PRODUCT_CASES,
@@ -265,15 +266,19 @@ class TestGptScan:
         assert row(math.nextafter(threshold, 2.0)).violating
 
     @pytest.mark.parametrize(
-        "spec, toward", [("randomdm:2x3,6,2", -math.inf), ("randomdm:2x3,6,9", math.inf)]
+        "spec, toward",
+        [("randomdm:2x3,6,2", -math.inf), ("randomdm:2x3,6,9", math.inf),
+         pytest.param(np.diag([0.2, 0.7, 0.1, 0]), math.inf, id="diag-zero-inf")],
     )
     def test_a_psd_input_has_no_slack(self, monkeypatch, spec, toward):
         # on a PSD input the mask-0 norm differs from the trace by rounding
         # noise of either sign; read as a negative part, noise below the
         # trace would lower every row's threshold under 1 + NORM_TOL. The
         # sign depends on the BLAS build, so the noise is set here to one
-        # ulp below, resp. above, the trace
-        rho = generate(spec)
+        # ulp below, resp. above, the trace. The diagonal state has the
+        # eigenvalue exactly 0, which is no negative part either; its norm
+        # 1.0 is already the ulp above its trace 0.9999999999999999
+        rho = generate(spec) if isinstance(spec, str) else DensityMatrix(spec, (2, 2))
         trace, solve = rho.trace().real, criteria.evaluate_subset
 
         def noisy(rho, mask):
@@ -282,7 +287,8 @@ class TestGptScan:
 
         monkeypatch.setattr(criteria, "evaluate_subset", noisy)
         report = gpt_scan(rho)
-        assert report.results[0].min_eigenvalue > 0
+        low = report.results[0].min_eigenvalue
+        assert low > 0 if isinstance(spec, str) else low == 0.0
         assert report.results[0].trace_norm == math.nextafter(trace, toward)
         assert all(row.slack == 0.0 for row in report.results)
 
@@ -360,8 +366,10 @@ class TestNegativity:
             assert report["negativity_per_subsystem"][k] == 0.0
 
     def test_subsystem_out_of_range(self):
+        # negativity's own refusal, not reshape's "mask ... out of range"
         for k in (-1, 2):
-            with pytest.raises(InvalidInputError, match="out of range"):
+            message = f"subsystem {k} out of range: need an int in [0, 2)"
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
                 negativity(gpt_scan(bell_state("psi-")), k)
 
     def test_subsystem_may_be_a_numpy_int(self):
@@ -424,7 +432,7 @@ class TestEvaluateSubset:
         report = gpt_scan(rho)
         for res in map(report.lookup, range(16)):
             # bitwise the solve of its class representative, in its own shape
-            single = evaluate_subset(rho, _representative(res.mask, 2))
+            single = evaluate_subset(rho, representative(res.mask, 2))
             assert single == (res.trace_norm, res.min_eigenvalue)
             assert generalized_transpose(rho, res.mask).shape == layout(rho.dims, res.mask)[1]
 
@@ -578,7 +586,7 @@ class TestSymmetryClasses:
         assert len(classes) == class_count(n)
         # the representative is the smallest member, and a deduped row
         assert sorted(min(c) for c in classes) == sorted(
-            {_representative(m, n) for m in range(full + 1)}
+            {representative(m, n) for m in range(full + 1)}
         )
         assert all(min(c) < 1 << (2 * n - 1) for c in classes)
 
@@ -602,7 +610,7 @@ class TestSymmetryClasses:
         scan = gpt_scan(rho)
         n = len(dims)
         for row in scan.results:
-            rep = scan.results[_representative(row.mask, n)]
+            rep = scan.results[representative(row.mask, n)]
             assert row.trace_norm == rep.trace_norm
             assert row.violating == rep.violating
             assert row.min_eigenvalue == rep.min_eigenvalue

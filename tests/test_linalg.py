@@ -212,6 +212,23 @@ def test_trace_norm_of_bell_partial_transpose():
     assert abs(trace_norm(pt) - 2.0) < 1e-12
 
 
+def test_hermitian_trace_norm_of_bell_partial_transpose():
+    # Sum |lambda| and lambda_min from one eigensolve
+    pt = generalized_transpose(bell_state("psi-"), 0b11)
+    norm, low = linalg.hermitian_trace_norm(pt)
+    assert abs(norm - 2.0) < 1e-12
+    assert abs(low + 0.5) < 1e-12
+
+
+def test_eigensolver_failure_is_a_numerical_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericalError, match="^eigensolver did not converge for 4x4 matrix"):
+        linalg.hermitian_trace_norm(np.eye(4, dtype=complex))
+
+
 def test_trace_norm_triangle_inequality():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -304,6 +321,19 @@ class TestDensityMatrix:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_construction_holds_one_matrix_sized_temporary(self):
+        # the residual is taken over row blocks and the Hermitian part built
+        # in its output buffer: a D x D copy of m^dag would double the peak
+        mat = np.eye(1024, dtype=complex) / 1024
+        tracemalloc.start()
+        try:
+            rho = DensityMatrix(mat, (2,) * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * mat.nbytes
+        assert np.array_equal(rho.mat, mat) and rho.mat.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "dims", [(2.5, 2.9), ("2", "2"), (True, 4), np.array([[2]]), 4, None, 2.0]

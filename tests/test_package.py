@@ -1,5 +1,7 @@
-"""The package's public namespace: ``__all__`` names what it exports."""
+"""The package's public namespace: ``__all__`` names what it exports; and
+which module owns which decision."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import entscan
+
+SRC = Path(entscan.__file__).resolve().parent
 
 
 def test_every_name_in_all_resolves():
@@ -45,6 +49,30 @@ def test_subset_result_holds_only_its_solve():
     assert entscan.SubsetResult._fields == ("mask", "trace_norm", "min_eigenvalue", "slack")
     for member in ("dims", "shape", "complement_mask", "label_text", "is_hermitian_case"):
         assert not hasattr(entscan.SubsetResult, member), member
+
+
+# criteria holds the rules on rows; numpy, solves and mask checks are behind
+# the public names of linalg and reshape
+def test_criteria_imports_neither_numpy_nor_private_names():
+    tree = ast.parse((SRC / "criteria.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "numpy" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy"
+            assert all(not alias.name.startswith("_") for alias in node.names), node.module
+
+
+# linalg alone calls a numpy.linalg solver and maps its failure; reshape
+# alone validates masks
+@pytest.mark.parametrize("pattern, owner", [
+    (r"np\.linalg\.(svd|qr|eigvalsh)|LinAlgError", "linalg.py"),
+    (r"_check_mask", "reshape.py"),
+], ids=["solvers", "masks"])
+def test_one_module_owns_each_decision(pattern, owner):
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if re.search(pattern, path.read_text(encoding="utf-8")))
+    assert users == [owner]
 
 
 def test_readme_library_example_runs(capsys):
