@@ -1,4 +1,4 @@
-"""The package's public namespace: ``__all__`` names what it exports; and
+"""The package's public namespace (``__all__`` names what it exports), and
 which module owns which decision."""
 
 import ast
