@@ -22,7 +22,6 @@ from .criteria import (
 from .errors import EntscanError, InvalidInputError, NumericalError
 from .linalg import (
     DensityMatrix,
-    density_matrix,
     singular_values,
     trace_norm,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "SubsetResult",
     "Verdict",
     "bell_state",
-    "density_matrix",
     "enumerate_label_subsets",
     "evaluate_subset",
     "format_label_set",

@@ -8,7 +8,7 @@ Exit codes: 0 = ran fine / nothing detected, 1 = input error or a reader
 that closed stdout early, 2 = numerical failure or out of memory,
 3 = entanglement certified (analyze only). JSON is written in blocks of
 about 32 KB, so a write that fails midway (exit 1 or 2) leaves a truncated
-report on stdout. The tolerances are fixed
+report on stdout, or a truncated matrix file. The tolerances are fixed
 constants, listed in the analyze report. Input whose own trace norm (scan
 mask 0) exceeds 1 + NORM_TOL is not a state and exits 1: analyze and norms
 read every row from ``criteria.subset_table``, which refuses it before
@@ -38,7 +38,7 @@ from .criteria import ppt_criterion, realignment_criterion
 # not called here; kept in this namespace for tracers that look it up
 from .criteria import evaluate_subset  # noqa: F401
 from .errors import InvalidInputError, NumericalError
-from .linalg import HERM_TOL, TRACE_TOL, DensityMatrix, check_dimension, density_matrix
+from .linalg import HERM_TOL, TRACE_TOL, DensityMatrix, check_dimension
 from .reshape import check_scan_limit, complement, format_label_set, layout, parse_label_set
 from .reshape import subsystem_letters
 from .states import StateSpec, family_help, generate, parse_state_spec, parse_sweep
@@ -116,17 +116,23 @@ def _write_json(fh, obj, **encoder_options) -> None:
 
 
 def save_matrix_file(path: str, rho: DensityMatrix, name=None) -> None:
+    # row views, each turned into Python floats only when the encoder reaches it
     data = {
         "dims": list(rho.dims),
-        "matrix": rho.mat.view(float).reshape(rho.dim, rho.dim, 2).tolist(),
+        "matrix": list(rho.mat.view(float).reshape(rho.dim, rho.dim, 2)),
     }
     if name is not None:
         data["name"] = name
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            _write_json(fh, data, indent=1)
+            _write_json(fh, data, indent=1, default=np.ndarray.tolist, check_circular=False)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
+def density_matrix(mat, dims) -> DensityMatrix:
+    """The state of a loaded file; a module global, so that tracers can wrap it."""
+    return DensityMatrix(mat, dims)
 
 
 def _resolve_input(text: str, scan: bool = False):

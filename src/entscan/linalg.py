@@ -179,8 +179,3 @@ class DensityMatrix:
     def hermiticity_residual(self) -> float:
         """max |m - m^dag| of the input matrix; the stored one has none."""
         return self._residual
-
-
-def density_matrix(mat, dims) -> DensityMatrix:
-    """Build a :class:`DensityMatrix` from a matrix and its subsystem dimensions."""
-    return DensityMatrix(mat, dims)

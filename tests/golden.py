@@ -65,6 +65,11 @@ CASES = [
     # scan-family
     _case("scan-werner", "scan-family", "werner", *_SWEEP),
     _case("scan-isotropic", "scan-family", "isotropic:3", *_SWEEP),
+    # a family whose grid crosses the threshold twice over [0, 1] (separable
+    # at both ends), and once over [0.5, 1]
+    _case("scan-horodecki3x3", "scan-family", "horodecki3x3", *_SWEEP),
+    _case("scan-horodecki3x3-upper", "scan-family", "horodecki3x3", "--min", "0.5",
+          "--max", "1"),
     # scan-family spec grammar: empty tokens and unnormalized numbers
     _case("scan-isotropic-leading-empty", "scan-family", "isotropic:,3", *_SWEEP),
     _case("scan-isotropic-trailing-empty", "scan-family", "isotropic:3,,", *_SWEEP),

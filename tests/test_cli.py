@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import entscan
-from entscan import DensityMatrix, InvalidInputError, cli, generate, states
+from entscan import DensityMatrix, InvalidInputError, cli, generate, ghz_state, states
 from entscan.cli import PARAM_TOL, load_matrix_file, main, save_matrix_file
 
 from golden import assert_same_up_to_float_noise
@@ -564,13 +565,37 @@ class TestGenerate:
         mat, dims, _ = load_matrix_file(str(path))
         assert np.array_equal(mat, generate("sepmix:2x3,4,13").mat)
 
-    def test_generate_then_analyze_matches_in_memory_report(self, capsys, tmp_path):
-        path = tmp_path / "werner.json"
-        assert run(capsys, "generate", "werner:0.2", str(path))[0] == 0
+    # the file holds the stored Hermitian part, so its residual reads 0.0;
+    # a generator that rounds (randomdm's A A^dag) leaves one in the spec's
+    # report, the one key that differs. At 3^4 the scan takes the R-factor path
+    @pytest.mark.parametrize("spec, rounded", [("werner:0.2", False),
+                                               ("randomdm:3x3x3x3,81,1", True)])
+    def test_generate_then_analyze_matches_in_memory_report(
+        self, capsys, tmp_path, spec, rounded
+    ):
+        path = tmp_path / "rho.json"
+        assert run(capsys, "generate", spec, str(path))[0] == 0
         code_file, out_file, _ = run(capsys, "analyze", str(path), "--format", "json")
-        code_spec, out_spec, _ = run(capsys, "analyze", "werner:0.2", "--format", "json")
-        assert code_file == code_spec == 0
-        assert out_file == out_spec  # byte-for-byte
+        code_spec, out_spec, _ = run(capsys, "analyze", spec, "--format", "json")
+        assert code_file == code_spec
+        file_report, spec_report = json.loads(out_file), json.loads(out_spec)
+        assert file_report["input"].pop("hermiticity_residual") == 0.0
+        assert (spec_report["input"].pop("hermiticity_residual") > 0) == rounded
+        assert file_report == spec_report
+        if not rounded:
+            assert out_file == out_spec  # byte-for-byte
+
+    def test_writing_a_file_holds_no_matrix_sized_list(self, tmp_path):
+        # each row becomes Python floats only when the encoder reaches it;
+        # a whole-matrix .tolist() would peak near 9x the state
+        rho = ghz_state(7)
+        tracemalloc.start()
+        try:
+            save_matrix_file(str(tmp_path / "ghz7.json"), rho, name="ghz:7")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * rho.mat.nbytes
 
 
 class TestDeterminism:

@@ -12,7 +12,6 @@ from entscan import (
     InvalidInputError,
     NumericalError,
     bell_state,
-    density_matrix,
     generalized_transpose,
     generate,
     linalg,
@@ -363,7 +362,7 @@ class TestDensityMatrix:
         with pytest.raises(InvalidInputError,
                            match="^subsystem dimensions: more than 12 subsystems$"):
             DensityMatrix(np.eye(1), (1,) * 13)
-        rho = density_matrix(np.eye(1), (1,) * 12)
+        rho = DensityMatrix(np.eye(1), (1,) * 12)
         assert subset_table(rho)(3).trace_norm == 1.0
 
     @pytest.mark.parametrize(

@@ -27,11 +27,12 @@ def test_star_import_binds_every_name_in_all():
 
 # PPT, realignment and E each have one name: a mask of generalized_transpose,
 # or a property of gpt_scan's report; no module exports a wrapper for them,
-# and a bipartite cut is a subsystem bitmask, not a list of blocks
+# and a bipartite cut is a subsystem bitmask, not a list of blocks; a state
+# has one constructor, DensityMatrix
 @pytest.mark.parametrize("module", ["entscan", "entscan.linalg", "entscan.reshape",
                                     "entscan.criteria"])
 @pytest.mark.parametrize("name", ["kron", "realign", "partial_transpose", "measure_e",
-                                  "bipartite_cuts"])
+                                  "bipartite_cuts", "density_matrix"])
 def test_removed_wrapper_is_absent(module, name):
     assert not hasattr(importlib.import_module(module), name)
     assert name not in entscan.__all__
