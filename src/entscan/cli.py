@@ -157,13 +157,13 @@ def _resolve_input(text: str, scan: bool = False):
 
 # --- report assembly --------------------------------------------------------
 
-def _subset_dict(res, dims) -> dict:
+def _subset_dict(mask: int, res, dims) -> dict:
     n = len(dims)
     return {
-        "labels": format_label_set(res.mask, n),
-        "mask": res.mask,
-        "complement": format_label_set(complement(res.mask, n), n),
-        "shape": list(layout(dims, res.mask)[1]),
+        "labels": format_label_set(mask, n),
+        "mask": mask,
+        "complement": format_label_set(complement(mask, n), n),
+        "shape": list(layout(dims, mask)[1]),
         "trace_norm": res.trace_norm,
         "hermitian_case": res.min_eigenvalue is not None,
         "min_eigenvalue": res.min_eigenvalue,
@@ -177,14 +177,15 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
     n = len(rho.dims)
     scan = gpt_scan(rho)
     ppt_rows = [
-        {**_subset_dict(res, rho.dims), "subsystems": subsystem_letters(res.mask, n, 3)}
-        for res in ppt_criterion(scan)
+        {**_subset_dict(mask, res, rho.dims), "subsystems": subsystem_letters(mask, n, 3)}
+        for mask, res in ppt_criterion(scan).items()
     ]
     realignment_rows = [  # a cut's mask holds c_k for k on the left, r_k for k on the right
-        {**_subset_dict(res, rho.dims),
-         "cut": f"{subsystem_letters(res.mask, n, 2)}|{subsystem_letters(res.mask, n, 1)}"}
-        for res in realignment_criterion(scan)
+        {**_subset_dict(mask, res, rho.dims),
+         "cut": f"{subsystem_letters(mask, n, 2)}|{subsystem_letters(mask, n, 1)}"}
+        for mask, res in realignment_criterion(scan).items()
     ]
+    scan_rows = [_subset_dict(mask, res, rho.dims) for mask, res in enumerate(scan.results)]
     return {
         "tool": {"name": "entscan", "version": __version__},
         "input": {
@@ -203,9 +204,9 @@ def build_analyze_report(rho: DensityMatrix, name: str) -> dict:
         "realignment": {"applicable": n >= 2, "results": realignment_rows},
         "scan": {
             "subsets_evaluated": len(scan.results),
-            "results": [_subset_dict(res, rho.dims) for res in scan.results],
+            "results": scan_rows,
             "max_norm": scan.max_norm,
-            "argmax_labels": format_label_set(scan.argmax.mask, n),
+            "argmax_labels": format_label_set(scan.argmax, n),
             "violations": [format_label_set(mask, n) for mask in scan.violations],
         },
         "verdict": scan.verdict.value,
@@ -321,7 +322,7 @@ def cmd_norms(args) -> int:
     rho, _ = _resolve_input(args.input)
     mask = parse_label_set(args.labels, len(rho.dims))
     # the scan's own table: refuses a non-state and prints the analyze row bitwise
-    report = _subset_dict(subset_table(rho)(mask), rho.dims)
+    report = _subset_dict(mask, subset_table(rho)(mask), rho.dims)
     _emit(report, args.format, render_human_norms)
     return 0
 

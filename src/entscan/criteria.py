@@ -30,13 +30,12 @@ class Verdict(str, Enum):
 
 
 class SubsetResult(NamedTuple):
-    """Outcome of one reshaped-matrix evaluation: the transpose of the labels
-    in ``mask`` (see :mod:`entscan.reshape`, which names and shapes it). Only
+    """Outcome of one reshaped-matrix evaluation, the one row that every mask of
+    a symmetry class (see :func:`reshape.representative`) reads by key. Only
     the solved values are stored; ``min_eigenvalue`` is set exactly for
     partial transpositions, the square Hermitian cases. ``slack`` widens the
     violation threshold (see :func:`subset_table`)."""
 
-    mask: int
     trace_norm: float
     min_eigenvalue: float | None
     slack: float
@@ -55,39 +54,39 @@ def _excess(res: SubsetResult) -> float:
 
 
 class CriterionReport(NamedTuple):
-    """Full scan outcome over the enumerated label subsets, in mask order.
-    :meth:`lookup` reads any mask from those rows."""
+    """Full scan outcome: ``results[mask]`` is each scanned mask's row, ``argmax``
+    the first mask of largest norm. :meth:`lookup` reads any mask from those rows."""
 
     dims: tuple[int, ...]
     results: tuple[SubsetResult, ...]
-    argmax: SubsetResult
+    argmax: int
 
     def lookup(self, mask: int) -> SubsetResult:
-        """The row of any of the 4^n masks: its class representative's (see
-        :func:`reshape.representative`, always a scanned mask), renamed to ``mask``."""
-        row = self.results[representative(mask, len(self.dims))]
-        return row if row.mask == mask else SubsetResult(mask, *row[1:])
+        """The row of any of the 4^n masks: the one row of its class
+        representative (see :func:`reshape.representative`, always a scanned mask)."""
+        return self.results[representative(mask, len(self.dims))]
 
     @property
     def verdict(self) -> Verdict:
         # the largest norm violates iff any row does
-        return Verdict.ENTANGLED_CERTIFIED if self.argmax.violating else Verdict.UNDETECTED
+        best = self.results[self.argmax]
+        return Verdict.ENTANGLED_CERTIFIED if best.violating else Verdict.UNDETECTED
 
     @property
     def measure_e(self) -> float:
         """Largest (trace norm - 1) / 2 over all label subsets, zero when no
         subset violates: exactly zero on every separable state, and an upper
         bound on each negativity, since the scan has every partial transpose."""
-        return _excess(self.argmax)
+        return _excess(self.results[self.argmax])
 
     @property
     def max_norm(self) -> float:
-        return self.argmax.trace_norm
+        return self.results[self.argmax].trace_norm
 
     @property
     def violations(self) -> tuple[int, ...]:
         """Masks of the violating subsets, in scan order."""
-        return tuple(res.mask for res in self.results if res.violating)
+        return tuple(mask for mask, res in enumerate(self.results) if res.violating)
 
 
 def evaluate_subset(rho: DensityMatrix, mask: int) -> tuple[float, float | None]:
@@ -110,7 +109,7 @@ def subset_table(rho: DensityMatrix):
     on a state that norm is the trace, within TRACE_TOL < NORM_TOL of 1, so a
     unit-trace matrix gets there only through negative eigenvalues. Each
     symmetry class is then solved on first use, at its representative, and
-    every other member reads that row.
+    every member of the class gets that one row object.
 
     Every row carries one ``slack`` = (1 + sqrt(D)) t, where t = (trace norm
     - trace) / 2 of mask 0 weighs the admitted negative eigenvalues. With
@@ -131,13 +130,13 @@ def subset_table(rho: DensityMatrix):
         )
     t = (norm - rho.trace().real) / 2 if low < 0 else 0.0
     slack = (1 + sqrt(rho.dim)) * t
-    rows = {0: SubsetResult(0, norm, low, slack)}
+    rows = {0: SubsetResult(norm, low, slack)}
 
     def row(mask: int) -> SubsetResult:
         rep = representative(mask, n)
         if rep not in rows:
-            rows[rep] = SubsetResult(rep, *evaluate_subset(rho, rep), slack)
-        return rows[rep] if mask == rep else SubsetResult(mask, *rows[rep][1:])
+            rows[rep] = SubsetResult(*evaluate_subset(rho, rep), slack)
+        return rows[rep]
 
     return row
 
@@ -145,23 +144,21 @@ def subset_table(rho: DensityMatrix):
 def gpt_scan(rho: DensityMatrix) -> CriterionReport:
     """Evaluate every enumerated label subset and assemble the verdict.
 
-    The rows are one mask of each complement pair, and each symmetry class
-    (see :func:`reshape.representative`) is solved once, at its representative; the
-    other rows read its values bitwise. :meth:`CriterionReport.lookup` reads
-    any mask, complements included.
-
-    Results come in canonical (mask-ascending) subset order. Ties for the
-    largest norm resolve to the earliest subset in that order. Refuses input
-    beyond the scan limit before any solve, a non-state in :func:`subset_table`.
+    The rows are one mask of each complement pair, in mask order, and each
+    symmetry class (see :func:`reshape.representative`) is one row object,
+    solved once at its representative. :meth:`CriterionReport.lookup` reads
+    any mask, complements included. Ties for the largest norm resolve to the
+    earliest mask, a class representative. Refuses input beyond the scan
+    limit before any solve, a non-state in :func:`subset_table`.
     """
     masks = enumerate_label_subsets(len(rho.dims))
     results = tuple(map(subset_table(rho), masks))
-    best = max(results, key=lambda res: res.trace_norm)  # first of equal maxima
+    best = max(masks, key=lambda mask: results[mask].trace_norm)  # first of equal maxima
     return CriterionReport(rho.dims, results, best)
 
 
-def ppt_criterion(scan: CriterionReport) -> list[SubsetResult]:
-    """Every non-trivial partial transposition, read from ``scan``.
+def ppt_criterion(scan: CriterionReport) -> dict[int, SubsetResult]:
+    """Every non-trivial partial transposition as ``{mask: row}``, read from ``scan``.
 
     One row per subsystem subset X without the last subsystem (X and its
     complement share a spectrum), so 2^(n-1) - 1 rows, in order of X's
@@ -169,12 +166,13 @@ def ppt_criterion(scan: CriterionReport) -> list[SubsetResult]:
     1 + ``NORM_TOL`` + ``slack``; on a state that is a negative eigenvalue,
     which ``min_eigenvalue`` reports.
     """
-    return [scan.lookup(pt_mask(x)) for x in range(1, 1 << (len(scan.dims) - 1))]
+    masks = map(pt_mask, range(1, 1 << (len(scan.dims) - 1)))
+    return {mask: scan.lookup(mask) for mask in masks}
 
 
-def realignment_criterion(scan: CriterionReport) -> list[SubsetResult]:
-    """The realignment across every bipartite cut, read from ``scan``; no
-    rows for a single subsystem.
+def realignment_criterion(scan: CriterionReport) -> dict[int, SubsetResult]:
+    """The realignment across every bipartite cut as ``{mask: row}``, read from
+    ``scan``; no rows for a single subsystem.
 
     One row per cut X|X^c, X an odd subsystem bitmask (subsystem 0 in X): the
     ``cut_mask(X, n)`` transpose is the cut's realignment up to row/column
@@ -182,7 +180,8 @@ def realignment_criterion(scan: CriterionReport) -> list[SubsetResult]:
     ``slack`` certifies entanglement.
     """
     n = len(scan.dims)
-    return [scan.lookup(cut_mask(x, n)) for x in range(1, (1 << n) - 1, 2)]
+    masks = (cut_mask(x, n) for x in range(1, (1 << n) - 1, 2))
+    return {mask: scan.lookup(mask) for mask in masks}
 
 
 def negativity(scan: CriterionReport, subsystem: int) -> float:

@@ -19,6 +19,7 @@ rather than some row/column permutation of that layout.
 """
 
 from functools import cache
+from operator import index
 
 import numpy as np
 
@@ -39,10 +40,16 @@ def _subsystem_labels(k: int) -> tuple[str, str, str, str]:
 
 
 def _check_mask(mask: int, n: int) -> None:
-    """Raise unless ``mask`` is one of the 4^n masks and ``n`` is at most
-    ``MAX_SUBSYSTEMS``, the most any state has; a negative mask shifts to -1."""
+    """Raise unless ``mask`` is one of the 4^n masks, an integer (numpy ones
+    too, no bool), and ``n`` is at most ``MAX_SUBSYSTEMS``, the most any state
+    has; a negative mask shifts to -1."""
     if n > MAX_SUBSYSTEMS:
         raise InvalidInputError(f"{n} subsystems: more than {MAX_SUBSYSTEMS}")
+    try:  # the rule of dims entries; no bool, which >> would read as the mask 0 or 1
+        index(None if isinstance(mask, bool) else mask)
+    except TypeError:
+        raise InvalidInputError(
+            f"mask {mask!r} must be an integer, got {type(mask).__name__}") from None
     if mask >> (2 * n):
         raise InvalidInputError(f"mask {mask} out of range [0, {1 << (2 * n)}) for {n} subsystems")
 

@@ -2,10 +2,11 @@
 
 Each case is one ``entscan`` command, run in-process in a scratch working
 directory. Its file ``golden/<name>.json`` holds the arguments, the exit
-code, stderr and, when the command printed one, the JSON report. A case may
-first write files (``files``) or run other commands (``before``, which must
-exit 0), so that matrix files are named relative to the working directory
-and no path reaches a message.
+code, stderr, the JSON report when the command printed one (else null), and
+as ``human`` the text of the same command in the human format ("" when it
+printed none). A case may first write files (``files``) or run other
+commands (``before``, which must exit 0), so that matrix files are named
+relative to the working directory and no path reaches a message.
 
 ``tests/test_golden.py`` reruns every case and compares. Rewrite the corpus
 from the current tree with
@@ -114,10 +115,14 @@ def run_case(case, fmt="json"):
 
 
 def record(case) -> dict:
-    """The golden entry of ``case``, run in the current working directory."""
+    """The golden entry of ``case``, run in the current working directory
+    once in each format; the two runs must agree on exit code and stderr."""
     code, out, err = run_case(case)
+    human_code, human, human_err = run_case(case, "human")
+    if (human_code, human_err) != (code, err):
+        raise RuntimeError(f"{case['name']}: the human run exited {human_code}: {human_err}")
     return {**case, "exit_code": code, "stderr": err,
-            "report": json.loads(out) if out else None}
+            "report": json.loads(out) if out else None, "human": human}
 
 
 def assert_same_up_to_float_noise(a, b, where="report"):

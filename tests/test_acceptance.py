@@ -327,8 +327,8 @@ def test_criterion_13_generalized_masks_detect_beyond_ppt_and_realignment():
         for a in (0.1, 0.5, 0.9):
             rho = DensityMatrix(np.kron(horodecki_3x3(a).mat, np.eye(d_c) / d_c), (3, 3, d_c))
             scan = gpt_scan(rho)
-            ppt_rows = ppt_criterion(scan)
-            realign_rows = realignment_criterion(scan)
+            ppt_rows = ppt_criterion(scan).values()
+            realign_rows = realignment_criterion(scan).values()
             flips = all_flip_sets(3)[0b0110][1]  # {cA,rB}
             naive = naive_trace_norm(naive_generalized_transpose(rho.mat, rho.dims, flips))
             witness = np.trace(naive_witness(rho.mat, rho.dims, flips) @ rho.mat).real
@@ -338,7 +338,7 @@ def test_criterion_13_generalized_masks_detect_beyond_ppt_and_realignment():
             ok = (
                 ok
                 and scan.verdict is Verdict.ENTANGLED_CERTIFIED
-                and scan.argmax.mask == 0b0110
+                and scan.argmax == 0b0110
                 and scan.max_norm > 1.0 + 1e-9
                 and abs(naive - scan.max_norm) <= 1e-12
                 and witness < 0

@@ -340,7 +340,7 @@ class TestNorms:
             labels = entscan.format_label_set(mask, 3)
             code, report, _ = run_json(capsys, "norms", spec, labels)
             assert code == 0
-            assert report == cli._subset_dict(scan.lookup(mask), scan.dims)
+            assert report == cli._subset_dict(mask, scan.lookup(mask), scan.dims)
             if mask < len(rows):
                 assert report == rows[mask]
 

@@ -57,29 +57,30 @@ class TestPptCriterion:
     def test_bell_singlet(self):
         results = ppt_criterion(gpt_scan(bell_state("psi-")))
         assert len(results) == 1
-        res = results[0]
-        assert format_label_set(res.mask, 2) == "rA,cA"
+        ((mask, res),) = results.items()
+        assert format_label_set(mask, 2) == "rA,cA"
         assert abs(res.trace_norm - 2.0) < 1e-9
         assert abs(res.min_eigenvalue + 0.5) < 1e-9
         assert res.violating
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 1 / 3])
     def test_werner_below_threshold(self, p):
-        for res in ppt_criterion(gpt_scan(werner_state(p))):
+        for res in ppt_criterion(gpt_scan(werner_state(p))).values():
             assert abs(res.trace_norm - 1.0) < 1e-10
             assert res.min_eigenvalue > -1e-10
             assert not res.violating
 
     @pytest.mark.parametrize("p", [0.4, 0.7, 1.0])
     def test_werner_above_threshold(self, p):
-        (res,) = ppt_criterion(gpt_scan(werner_state(p)))
+        (res,) = ppt_criterion(gpt_scan(werner_state(p))).values()
         assert abs(res.trace_norm - werner_pt_norm(p)) < 1e-10
         assert abs(res.min_eigenvalue - (1 - 3 * p) / 4) < 1e-10
         assert res.violating
 
     def test_product_states_pass(self):
         for seed in range(5):
-            for res in ppt_criterion(gpt_scan(separable_mixture((2, 2, 2), 1, seed=seed))):
+            scan = gpt_scan(separable_mixture((2, 2, 2), 1, seed=seed))
+            for res in ppt_criterion(scan).values():
                 assert not res.violating
                 assert abs(res.trace_norm - 1.0) < 1e-10
 
@@ -91,7 +92,7 @@ class TestPptCriterion:
         # min eig -6e-10 is above -1e-9, but the trace norm 1 + 1.2e-9 is
         # past 1 + NORM_TOL: the PPT row violates, like the scan's row for it
         rho = werner_state(0.3333333341333333)
-        (res,) = ppt_criterion(gpt_scan(rho))
+        (res,) = ppt_criterion(gpt_scan(rho)).values()
         assert -1e-9 < res.min_eigenvalue < 0.0
         assert res.trace_norm > 1.0 + NORM_TOL
         assert res.violating
@@ -103,19 +104,19 @@ class TestPptCriterion:
 
 class TestRealignmentCriterion:
     def test_bell(self):
-        (res,) = realignment_criterion(gpt_scan(bell_state("psi-")))
+        ((mask, res),) = realignment_criterion(gpt_scan(bell_state("psi-"))).items()
         assert abs(res.trace_norm - 2.0) < 1e-9
         assert res.violating
-        assert format_label_set(res.mask, 2) == "cA,rB"
+        assert format_label_set(mask, 2) == "cA,rB"
 
     def test_maximally_mixed_two_qubits(self):
-        (res,) = realignment_criterion(gpt_scan(max_mixed((2, 2))))
+        (res,) = realignment_criterion(gpt_scan(max_mixed((2, 2)))).values()
         assert abs(res.trace_norm - 0.5) < 1e-12
         assert not res.violating
 
     def test_single_subsystem_has_no_cuts(self):
         # like ppt_criterion: a lone subsystem has nothing to cut
-        assert realignment_criterion(gpt_scan(max_mixed((4,)))) == []
+        assert realignment_criterion(gpt_scan(max_mixed((4,)))) == {}
 
     def test_cut_count(self):
         assert len(realignment_criterion(gpt_scan(ghz_state(3)))) == 3
@@ -134,8 +135,9 @@ class TestRealignmentCriterion:
                 lo = mid
         assert abs(0.5 * (lo + hi) - 1 / 3) < 1e-6
         # and the package agrees on a point either side
-        assert not realignment_criterion(gpt_scan(werner_state(1 / 3 - 0.01)))[0].violating
-        assert realignment_criterion(gpt_scan(werner_state(1 / 3 + 0.01)))[0].violating
+        # mask 6 = {cA,rB}, the one cut A|B
+        assert not realignment_criterion(gpt_scan(werner_state(1 / 3 - 0.01)))[6].violating
+        assert realignment_criterion(gpt_scan(werner_state(1 / 3 + 0.01)))[6].violating
 
 
 class TestGptScan:
@@ -147,7 +149,7 @@ class TestGptScan:
         violation_masks = set(report.violations)
         assert 3 in violation_masks  # {rA,cA}
         assert 6 in violation_masks  # {cA,rB}
-        assert report.argmax.mask == 3  # canonical tie-break
+        assert report.argmax == 3  # canonical tie-break
         assert len(report.results) == 8
 
     def test_separable_mixtures_undetected(self):
@@ -171,22 +173,24 @@ class TestGptScan:
         assert gpt_scan(blend).verdict is Verdict.UNDETECTED
 
     def test_results_in_canonical_order(self):
-        report = gpt_scan(bell_state("phi+"))
-        masks = [res.mask for res in report.results]
-        assert masks == sorted(masks)
+        # results[mask] is the row of mask: its class representative's solve
+        rho = random_density((2, 3), seed=21)
+        report = gpt_scan(rho)
+        for mask, res in enumerate(report.results):
+            assert (res.trace_norm, res.min_eigenvalue) == evaluate_subset(
+                rho, representative(mask, 2))
 
     def test_repeated_scans_are_bitwise_identical(self):
         rho = random_density((2, 3), seed=21)
         first = gpt_scan(rho)
         second = gpt_scan(rho)
         assert first.max_norm == second.max_norm
-        assert first.argmax.mask == second.argmax.mask
+        assert first.argmax == second.argmax
         for a, b in zip(first.results, second.results):
-            assert a.mask == b.mask
             assert a.trace_norm == b.trace_norm  # bitwise identical
         # records compare and hash by value, and no field can be assigned
         assert first == second and hash(first) == hash(second)
-        for record, name in ((first, "argmax"), (first.argmax, "trace_norm")):
+        for record, name in ((first, "argmax"), (first.results[0], "trace_norm")):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
 
@@ -228,7 +232,7 @@ class TestGptScan:
         rho = DensityMatrix(near_product(d, eps), (d, d))
         report = gpt_scan(rho)
         assert report.max_norm > 1.0 + NORM_TOL
-        assert report.argmax.slack > 0.0
+        assert report.results[report.argmax].slack > 0.0
         assert report.verdict is Verdict.UNDETECTED
         assert report.violations == () and report.measure_e == 0.0
         assert negativity(report, 0) == 0.0
@@ -252,7 +256,7 @@ class TestGptScan:
         assert 3.25 * t < excess < 3.75 * t  # sqrt(D) = 3
         report = gpt_scan(DensityMatrix(mat, (3, 3)))
         assert report.verdict is Verdict.UNDETECTED
-        assert report.argmax.slack == pytest.approx(4 * t, rel=1e-6)
+        assert report.results[report.argmax].slack == pytest.approx(4 * t, rel=1e-6)
 
     @pytest.mark.parametrize("slack", [0.0, 3e-9])
     def test_a_norm_at_the_threshold_does_not_violate(self, slack):
@@ -260,7 +264,7 @@ class TestGptScan:
         threshold = 1.0 + NORM_TOL + slack
 
         def row(norm):
-            return SubsetResult(mask=6, trace_norm=norm, min_eigenvalue=None, slack=slack)
+            return SubsetResult(trace_norm=norm, min_eigenvalue=None, slack=slack)
 
         assert not row(threshold).violating
         assert row(math.nextafter(threshold, 2.0)).violating
@@ -313,11 +317,12 @@ class TestGptScan:
 
     def test_hermitian_cases_carry_min_eigenvalue(self):
         report = gpt_scan(bell_state("psi-"))
-        for res in map(report.lookup, range(16)):
+        for mask in range(16):
+            res = report.lookup(mask)
             # the Hermitian cases are the partial transpositions, each its own swap
-            if res.mask == swap(res.mask, 2):
+            if mask == swap(mask, 2):
                 assert res.min_eigenvalue is not None
-                rows, cols = layout((2, 2), res.mask)[1]
+                rows, cols = layout((2, 2), mask)[1]
                 assert rows == cols
             else:
                 assert res.min_eigenvalue is None
@@ -430,16 +435,18 @@ class TestEvaluateSubset:
     def test_single_subset_matches_scan(self):
         rho = bell_state("psi-")
         report = gpt_scan(rho)
-        for res in map(report.lookup, range(16)):
+        for mask in range(16):
+            res = report.lookup(mask)
             # bitwise the solve of its class representative, in its own shape
-            single = evaluate_subset(rho, representative(res.mask, 2))
+            single = evaluate_subset(rho, representative(mask, 2))
             assert single == (res.trace_norm, res.min_eigenvalue)
-            assert generalized_transpose(rho, res.mask).shape == layout(rho.dims, res.mask)[1]
+            assert generalized_transpose(rho, mask).shape == layout(rho.dims, mask)[1]
 
     def test_complement_recorded(self):
+        # the complement of mask 0 reads mask 0's row, the one row of its class
         rho = bell_state("psi-")
-        res = subset_table(rho)(0)
-        assert complement(res.mask, len(rho.dims)) == 15
+        table = subset_table(rho)
+        assert table(complement(0, len(rho.dims))) is table(0)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +490,6 @@ class TestMaskEngine:
         table = subset_table(rho)
         for mask in range(1 << (2 * len(dims))):
             res, row = scan.lookup(mask), table(mask)
-            assert res.mask == mask
             assert (res.trace_norm, res.min_eigenvalue, res.slack) == (
                 row.trace_norm, row.min_eigenvalue, row.slack)  # bitwise
             assert layout(dims, mask)[1] == generalized_transpose(rho, mask).shape
@@ -502,6 +508,32 @@ class TestMaskEngine:
                 read(mask)
             assert str(info.value) == f"mask {mask} out of range [0, 16) for 2 subsystems"
 
+    @pytest.mark.parametrize("mask", [True, False, 3.0, "3", None],
+                             ids=["true", "false", "float", "str", "none"])
+    def test_mask_must_be_an_int(self, mask):
+        # the rule of dims entries and negativity's subsystem: True would read
+        # as the mask {rA}, and 3.0 would end in a raw TypeError from >>
+        rho = bell_state("psi-")
+        entry_points = (subset_table(rho), gpt_scan(rho).lookup,
+                        lambda m: generalized_transpose(rho, m), lambda m: format_label_set(m, 2),
+                        lambda m: representative(m, 2))
+        for read in entry_points:
+            with pytest.raises(InvalidInputError) as info:
+                read(mask)
+            assert str(info.value) == (
+                f"mask {mask!r} must be an integer, got {type(mask).__name__}")
+
+    def test_mask_may_be_a_numpy_int(self):
+        rho = bell_state("psi-")
+        scan = gpt_scan(rho)
+        for mask in range(16):
+            wide = np.int64(mask)
+            assert scan.lookup(wide) is scan.lookup(mask)
+            assert np.array_equal(generalized_transpose(rho, wide),
+                                  generalized_transpose(rho, mask))
+            assert format_label_set(wide, 2) == format_label_set(mask, 2)
+            assert representative(wide, 2) == representative(mask, 2)
+
     @pytest.mark.parametrize(
         "rho",
         [
@@ -518,17 +550,17 @@ class TestMaskEngine:
         scan = gpt_scan(rho)  # a second scan, independent of the report's
         ppt = ppt_criterion(scan)
         assert len(report["ppt"]["results"]) == len(ppt)
-        for row, res in zip(report["ppt"]["results"], ppt):
-            assert row["mask"] == res.mask
-            assert row["shape"] == list(layout(rho.dims, res.mask)[1])
+        for row, (mask, res) in zip(report["ppt"]["results"], ppt.items()):
+            assert row["mask"] == mask
+            assert row["shape"] == list(layout(rho.dims, mask)[1])
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
             assert row["min_eigenvalue"] == res.min_eigenvalue
         realign = realignment_criterion(scan)
         assert len(report["realignment"]["results"]) == len(realign)
-        for row, res in zip(report["realignment"]["results"], realign):
-            assert row["mask"] == res.mask
-            assert row["shape"] == list(layout(rho.dims, res.mask)[1])
+        for row, (mask, res) in zip(report["realignment"]["results"], realign.items()):
+            assert row["mask"] == mask
+            assert row["shape"] == list(layout(rho.dims, mask)[1])
             assert row["violating"] == res.violating
             assert row["trace_norm"] == res.trace_norm
         for k, value in enumerate(report["negativity_per_subsystem"]):
@@ -609,13 +641,24 @@ class TestSymmetryClasses:
         rho = random_density(dims, seed=sum(dims))
         scan = gpt_scan(rho)
         n = len(dims)
-        for row in scan.results:
-            rep = scan.results[representative(row.mask, n)]
+        for mask, row in enumerate(scan.results):
+            rep = scan.results[representative(mask, n)]
             assert row.trace_norm == rep.trace_norm
             assert row.violating == rep.violating
             assert row.min_eigenvalue == rep.min_eigenvalue
             assert (row.min_eigenvalue is None) == (rep.min_eigenvalue is None)
-            assert layout(dims, row.mask)[1] == generalized_transpose(rho, row.mask).shape
+            assert layout(dims, mask)[1] == generalized_transpose(rho, mask).shape
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (2,) * 6])
+    def test_each_class_is_one_row_object(self, dims):
+        # the rows of a class are one object; a row stores no mask to rename
+        n = len(dims)
+        scan = gpt_scan(random_density(dims, seed=n))
+        assert len({id(row) for row in scan.results}) == class_count(n)  # 2 6 20 72 1056
+        assert scan.argmax == representative(scan.argmax, n)
+        if n in (2, 3):
+            for mask in range(1 << (2 * n)):
+                assert scan.lookup(mask) is scan.results[representative(mask, n)]
 
     def test_stored_matrix_is_bitwise_hermitian(self):
         rng = np.random.default_rng(12)
@@ -638,7 +681,7 @@ class TestWitness:
     def test_argmax_witness_separates_the_state_from_product_states(self, spec):
         rho = generate(spec)
         scan = gpt_scan(rho)
-        flips = all_flip_sets(len(rho.dims))[scan.argmax.mask][1]
+        flips = all_flip_sets(len(rho.dims))[scan.argmax][1]
         w = naive_witness(rho.mat, rho.dims, flips)
         assert np.array_equal(w, w.conj().T)
         value = np.trace(w @ rho.mat)

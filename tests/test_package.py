@@ -45,10 +45,12 @@ def test_report_has_no_duplicate_reader(member):
     assert not hasattr(entscan.CriterionReport, member)
 
 
-# a scan row is its solve; reshape names and shapes it from the mask
+# a scan row is its solve, shared by its symmetry class; the mask is the key
+# that reads it, and reshape names and shapes it from that mask
 def test_subset_result_holds_only_its_solve():
-    assert entscan.SubsetResult._fields == ("mask", "trace_norm", "min_eigenvalue", "slack")
-    for member in ("dims", "shape", "complement_mask", "label_text", "is_hermitian_case"):
+    assert entscan.SubsetResult._fields == ("trace_norm", "min_eigenvalue", "slack")
+    for member in ("mask", "dims", "shape", "complement_mask", "label_text",
+                   "is_hermitian_case"):
         assert not hasattr(entscan.SubsetResult, member), member
 
 

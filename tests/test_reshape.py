@@ -264,13 +264,13 @@ class TestCutAndRealign:
     def test_bipartite_cut_equals_realign(self):
         rng = np.random.default_rng(14)
         rho = DensityMatrix(random_state(6, rng), (2, 3))
-        (row,) = realignment_criterion(gpt_scan(rho))
-        assert layout(rho.dims, row.mask)[1] == generalized_transpose(rho, 0b0110).shape
+        ((mask, row),) = realignment_criterion(gpt_scan(rho)).items()
+        assert layout(rho.dims, mask)[1] == generalized_transpose(rho, 0b0110).shape
         assert abs(row.trace_norm - trace_norm(generalized_transpose(rho, 0b0110))) < 1e-12
 
     def test_ghz_first_vs_rest_norm(self):
-        row = realignment_criterion(gpt_scan(ghz_state(3)))[0]  # A|BC
-        assert layout((2, 2, 2), row.mask)[1] == (4, 16)
+        mask, row = list(realignment_criterion(gpt_scan(ghz_state(3))).items())[0]  # A|BC
+        assert layout((2, 2, 2), mask)[1] == (4, 16)
         assert abs(row.trace_norm - 2.0) < 1e-12
 
     def test_product_state_cuts_stay_bounded(self):
@@ -280,7 +280,7 @@ class TestCutAndRealign:
         rho = DensityMatrix(mat, (2, 2, 2))
         rows = realignment_criterion(gpt_scan(rho))
         assert len(rows) == 3  # A|BC, AB|C, AC|B: every block and its complement
-        for row in rows:
+        for row in rows.values():
             assert row.trace_norm <= 1.0 + 1e-10
 
     def test_non_contiguous_block_against_naive(self):
@@ -291,8 +291,8 @@ class TestCutAndRealign:
         tensor = rho.mat.reshape((2,) * 6)
         regrouped = tensor.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
         expected = naive_trace_norm(naive_realign(regrouped, (4, 2)))
-        row = realignment_criterion(gpt_scan(rho))[2]  # AC|B
-        assert layout(rho.dims, row.mask)[1] == (16, 4)
+        mask, row = list(realignment_criterion(gpt_scan(rho)).items())[2]  # AC|B
+        assert layout(rho.dims, mask)[1] == (16, 4)
         assert abs(row.trace_norm - expected) < 1e-12
 
 

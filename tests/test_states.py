@@ -174,7 +174,8 @@ class TestRandomGenerators:
     def test_separable_mixture_passes_realignment(self):
         for seed in range(25):
             rho = separable_mixture((2, 2), 6, seed=seed)
-            assert not realignment_criterion(gpt_scan(rho))[0].violating
+            (row,) = realignment_criterion(gpt_scan(rho)).values()
+            assert not row.violating
 
     def test_random_density_rank_control(self):
         rho = random_density((2, 2), rank=2, seed=8)
